@@ -36,6 +36,7 @@
    scaled down). *)
 
 module Store = Mass.Store
+module J = Vamana.Profile.Json
 
 let queries =
   [ ("Q1", "//person/address");
@@ -86,19 +87,14 @@ let build_sized mb =
   assert_lint_clean store doc;
   { mb; store; doc; source = Xml.Writer.to_string tree }
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
 (* very fast runs are repeated for a stable reading *)
 let measure f =
-  let r, t = time f in
+  let r, t = Obs.time f in
   if t >= 0.05 then (r, t)
   else begin
     let n = 9 in
     let _, total =
-      time (fun () ->
+      Obs.time (fun () ->
           for _ = 1 to n do
             ignore (f ())
           done)
@@ -116,10 +112,10 @@ let pp_cell = function
 
 let run_scan sized query =
   let scan = Baselines.Scan_engine.create sized.store sized.doc in
-  let deadline = Unix.gettimeofday () +. scan_time_budget in
-  let result, t = time (fun () -> Baselines.Scan_engine.query_ranks scan query) in
+  let deadline = Obs.clock () +. scan_time_budget in
+  let result, t = Obs.time (fun () -> Baselines.Scan_engine.query_ranks scan query) in
   match result with
-  | Ok _ when Unix.gettimeofday () <= deadline -> Time t
+  | Ok _ when Obs.clock () <= deadline -> Time t
   | Ok _ -> Dnf "time"
   | Error _ -> Dnf "unsup"
 
@@ -402,7 +398,7 @@ let print_disk sizes =
           in
           Store.reset_io_stats store;
           let _, t =
-            time (fun () ->
+            Obs.time (fun () ->
                 List.iter
                   (fun (label, q) ->
                     match
@@ -497,7 +493,7 @@ let print_service () =
     (fun (label, q) ->
       (* cold: first touch pays parse+compile+optimize+execute *)
       let cold = run q in
-      let cold_ms = cold.Vamana_service.Service.total_time *. 1000. in
+      let cold_ms = cold.Vamana_service.Service.record.Vamana.Engine.latency *. 1000. in
       (* warm plan cache only: re-execute the cached plan each round by
          disabling result reuse through a store-epoch-preserving flush of
          the result side — simplest is a second service without results *)
@@ -506,7 +502,7 @@ let print_service () =
       in
       let run_plan () =
         match Vamana_service.Service.query plan_service ~context:doc.Store.doc_key q with
-        | Ok o -> o.Vamana_service.Service.total_time
+        | Ok o -> o.Vamana_service.Service.record.Vamana.Engine.latency
         | Error e -> failwith e
       in
       let _cold_plan = run_plan () in
@@ -521,7 +517,7 @@ let print_service () =
       let warm_full =
         let total = ref 0.0 in
         for _ = 1 to warm_rounds do
-          total := !total +. (run q).Vamana_service.Service.total_time
+          total := !total +. (run q).Vamana_service.Service.record.Vamana.Engine.latency
         done;
         !total /. float_of_int warm_rounds *. 1000.
       in
@@ -713,14 +709,13 @@ let print_qerror () =
   let store = Store.create ~pool_pages:65536 () in
   let doc = Xmark.load store mb in
   Printf.printf "%-4s %-44s %10s %10s %8s %10s\n" "Q" "query" "est OUT" "actual" "q-err" "max op q";
-  let module J = Vamana.Profile.Json in
   let rows =
     List.map
       (fun (label, q) ->
         match Vamana.Engine.query ~profile:true store ~context:doc.Store.doc_key q with
         | Error e -> failwith (label ^ ": " ^ e)
         | Ok r ->
-            let rep = Option.get r.Vamana.Engine.profile in
+            let rep = Option.get r.Vamana.Engine.record.Vamana.Engine.profile in
             let est =
               match rep.Vamana.Profile.plan.Vamana.Profile.est with
               | Some s -> s.Vamana.Cost.output
@@ -788,7 +783,7 @@ let calibrate () =
   in
   let best = ref infinity in
   for _ = 1 to 5 do
-    let _, t = time (fun () -> work ()) in
+    let _, t = Obs.time (fun () -> work ()) in
     if t < !best then best := t
   done;
   !best *. 1000.
@@ -828,7 +823,7 @@ let measure_gate () =
               Vamana.Engine.execute_prepared ~profile:true store
                 ~context:doc.Store.doc_key p
             in
-            let rep = Option.get prof.Vamana.Engine.profile in
+            let rep = Option.get prof.Vamana.Engine.record.Vamana.Engine.profile in
             (* a compacted heap before each timing loop removes most of
                the run-to-run GC/layout variance between processes *)
             Gc.compact ();
@@ -836,17 +831,12 @@ let measure_gate () =
             for _ = 1 to gate_rounds do
               let qid = Obs.fresh_query_id () in
               Storage.Flight.record_begin flight ~qid ~epoch:(Store.epoch store) ~source:q;
-              let r = Vamana.Engine.execute_prepared store ~context:doc.Store.doc_key p in
+              let r =
+                Obs.with_context [ ("qid", Obs.Int qid) ] (fun () ->
+                    Vamana.Engine.execute_prepared store ~context:doc.Store.doc_key p)
+              in
               Storage.Flight.record_end flight
-                { Storage.Flight.qid; source = q; ok = true; cache = "bypass";
-                  latency_us = int_of_float (r.Vamana.Engine.execute_time *. 1e6);
-                  pages_read = r.Vamana.Engine.io.Storage.Stats.logical_reads;
-                  physical_reads = r.Vamana.Engine.io.Storage.Stats.physical_reads;
-                  wal_bytes = 0; fsyncs = 0;
-                  results = List.length r.Vamana.Engine.keys;
-                  epoch = Store.epoch store;
-                  at_ms = int_of_float (Unix.gettimeofday () *. 1000.);
-                  sampled = false; drift = 0.0 };
+                (Vamana_service.Service.flight_record r.Vamana.Engine.record);
               if r.Vamana.Engine.execute_time < !best then best := r.Vamana.Engine.execute_time
             done;
             { g_label = label;
@@ -872,7 +862,6 @@ let print_baseline () =
   let cal, rows = measure_gate () in
   Printf.printf "calibration: %.1f ms\n" cal;
   Printf.printf "%-4s %10s %8s %12s %12s\n" "Q" "actual" "q-err" "exec(ms)" "normalized";
-  let module J = Vamana.Profile.Json in
   let json =
     J.Obj
       [ ("document_mb", J.Float gate_mb);
@@ -900,161 +889,19 @@ let print_baseline () =
   close_out oc;
   Printf.printf "(wrote %s — commit it; `bench regress` gates against it)\n" baseline_file
 
-(* minimal JSON reader for the gate's own files: objects, arrays,
-   strings, numbers, booleans, null — exactly what print_baseline emits *)
-module Jin = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-  exception Bad of string
+(* the gate's own files, read back through Profile.Json: numbers may
+   come back as Int or Float *)
+let num = function
+  | Some (J.Float f) -> Some f
+  | Some (J.Int i) -> Some (float_of_int i)
+  | _ -> None
 
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let skip_ws () =
-      while
-        !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-      do
-        incr pos
-      done
-    in
-    let expect c =
-      if !pos < n && s.[!pos] = c then incr pos
-      else raise (Bad (Printf.sprintf "expected %c at byte %d" c !pos))
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then raise (Bad "unterminated string");
-        let c = s.[!pos] in
-        incr pos;
-        if c = '"' then Buffer.contents buf
-        else if c = '\\' then begin
-          (if !pos >= n then raise (Bad "dangling escape"));
-          let e = s.[!pos] in
-          incr pos;
-          (match e with
-          | '"' | '\\' | '/' -> Buffer.add_char buf e
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'u' ->
-              if !pos + 4 > n then raise (Bad "truncated \\u escape");
-              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-              pos := !pos + 4;
-              (* the gate only ever reads back ASCII it wrote itself *)
-              Buffer.add_char buf (Char.chr (code land 0x7f))
-          | _ -> raise (Bad "unknown escape"));
-          go ()
-        end
-        else begin
-          Buffer.add_char buf c;
-          go ()
-        end
-      in
-      go ()
-    in
-    let literal word v =
-      let l = String.length word in
-      if !pos + l <= n && String.sub s !pos l = word then begin
-        pos := !pos + l;
-        v
-      end
-      else raise (Bad ("bad literal at byte " ^ string_of_int !pos))
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | Some '"' -> Str (parse_string ())
-      | Some '{' ->
-          incr pos;
-          skip_ws ();
-          if peek () = Some '}' then begin
-            incr pos;
-            Obj []
-          end
-          else
-            let rec members acc =
-              skip_ws ();
-              let k = parse_string () in
-              skip_ws ();
-              expect ':';
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  incr pos;
-                  members ((k, v) :: acc)
-              | Some '}' ->
-                  incr pos;
-                  Obj (List.rev ((k, v) :: acc))
-              | _ -> raise (Bad "expected ',' or '}'")
-            in
-            members []
-      | Some '[' ->
-          incr pos;
-          skip_ws ();
-          if peek () = Some ']' then begin
-            incr pos;
-            Arr []
-          end
-          else
-            let rec elems acc =
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  incr pos;
-                  elems (v :: acc)
-              | Some ']' ->
-                  incr pos;
-                  Arr (List.rev (v :: acc))
-              | _ -> raise (Bad "expected ',' or ']'")
-            in
-            elems []
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ ->
-          let start = !pos in
-          while
-            !pos < n
-            && (match s.[!pos] with
-               | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-               | _ -> false)
-          do
-            incr pos
-          done;
-          (try Num (float_of_string (String.sub s start (!pos - start)))
-           with _ -> raise (Bad ("bad number at byte " ^ string_of_int start)))
-      | None -> raise (Bad "unexpected end of input")
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then raise (Bad "trailing garbage");
-    v
+let str = function Some (J.Str s) -> Some s | _ -> None
+let int j = Option.map int_of_float (num j)
 
-  let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
-  let num = function Some (Num f) -> Some f | _ -> None
-  let str = function Some (Str s) -> Some s | _ -> None
-  let int j = Option.map int_of_float (num j)
-end
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  text
+let parse_json path = match J.of_string (read_file path) with Ok j -> j | Error msg -> failwith msg
 
 (* [inject] multiplies the fresh latencies — `--inject-latency 2.0`
    fakes a 2x slowdown so CI can prove the gate actually trips.
@@ -1071,24 +918,24 @@ let print_regress ~baseline ~inject =
   let cal, rows = measure_gate () in
   try
   let base =
-    match Jin.parse (read_file baseline) with
+    match parse_json baseline with
     | j -> j
     | exception Sys_error msg ->
         raise
           (Gate_skip
              (Printf.sprintf "cannot read baseline: %s (run `bench baseline` and commit %s)"
                 msg baseline_file))
-    | exception Jin.Bad msg ->
+    | exception Failure msg ->
         raise (Gate_skip (Printf.sprintf "cannot parse %s: %s" baseline msg))
   in
   let require what = function
     | Some v -> v
     | None -> raise (Gate_skip (Printf.sprintf "baseline is missing %s" what))
   in
-  let base_cal = require "calibration_ms" (Jin.num (Jin.member "calibration_ms" base)) in
+  let base_cal = require "calibration_ms" (num (J.member "calibration_ms" base)) in
   let base_rows =
-    match Jin.member "queries" base with
-    | Some (Jin.Arr rows) -> rows
+    match J.member "queries" base with
+    | Some (J.Arr rows) -> rows
     | _ -> raise (Gate_skip "baseline is missing the queries array")
   in
   (* the committed q-error reference is optional context, not a gate
@@ -1101,11 +948,11 @@ let print_regress ~baseline ~inject =
       []
     end
     else
-      match Jin.parse (read_file qerror_file) with
-      | exception Sys_error msg | exception Jin.Bad msg ->
+      match parse_json qerror_file with
+      | exception Sys_error msg | exception Failure msg ->
           Printf.printf "warning: ignoring unreadable %s: %s\n" qerror_file msg;
           []
-      | j -> ( match Jin.member "queries" j with Some (Jin.Arr rows) -> rows | _ -> [])
+      | j -> ( match J.member "queries" j with Some (J.Arr rows) -> rows | _ -> [])
   in
   (* --inject-latency fakes a plan regression on the first query so CI
      can prove the gate trips; a uniform multiplier on every query would
@@ -1129,7 +976,7 @@ let print_regress ~baseline ~inject =
       (fun r ->
         match
           List.find_opt
-            (fun row -> Jin.str (Jin.member "label" row) = Some r.g_label)
+            (fun row -> str (J.member "label" row) = Some r.g_label)
             base_rows
         with
         | None ->
@@ -1138,23 +985,23 @@ let print_regress ~baseline ~inject =
         | Some b -> (
             (* a row with missing fields is warned out of the batch, not
                fatal: the shares are taken over the rows that remain *)
-            match (Jin.num (Jin.member "execute_ms" b), Jin.int (Jin.member "actual" b)) with
+            match (num (J.member "execute_ms" b), int (J.member "actual" b)) with
             | Some b_ms, Some b_actual ->
                 let b_q =
-                  match Jin.member "q_error" b with
-                  | Some (Jin.Num f) -> f
-                  | _ -> (
+                  match num (J.member "q_error" b) with
+                  | Some f -> f
+                  | None -> (
                       (* baselines predating per-row q_error: fall back to
                          the committed q-error reference file *)
                       match
                         List.find_opt
-                          (fun row -> Jin.str (Jin.member "label" row) = Some r.g_label)
+                          (fun row -> str (J.member "label" row) = Some r.g_label)
                           qerror_ref
                       with
                       | Some row -> (
-                          match Jin.member "q_error" row with
-                          | Some (Jin.Num f) -> f
-                          | _ -> infinity)
+                          match num (J.member "q_error" row) with
+                          | Some f -> f
+                          | None -> infinity)
                       | None -> infinity)
                 in
                 Some (r, b_ms, b_actual, b_q)
@@ -1290,7 +1137,7 @@ let () =
     let sizeds =
       List.map
         (fun mb ->
-          let s, t = time (fun () -> build_sized mb) in
+          let s, t = Obs.time (fun () -> build_sized mb) in
           Printf.printf "  %.0f MB: %d records (%.1fs)\n%!" mb (Store.total_records s.store) t;
           s)
         !sizes

@@ -31,7 +31,7 @@ let () =
             (if optimize then "VQP-OPT" else "VQP")
             (List.length r.Vamana.Engine.keys)
             (r.Vamana.Engine.execute_time *. 1000.)
-            r.Vamana.Engine.io.Storage.Stats.logical_reads
+            r.Vamana.Engine.record.Vamana.Engine.exec_io.Storage.Stats.logical_reads
             (if optimize then
                Printf.sprintf "  (optimizer: %.3f ms)" (r.Vamana.Engine.optimize_time *. 1000.)
              else "")

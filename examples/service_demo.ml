@@ -16,7 +16,6 @@ let document =
   <person id="p2"><name>Grace</name><address><city>Arlington</city></address></person>
 </people></site>|xml}
 
-let tag = function `Hit -> "hit" | `Miss -> "miss" | `Stale -> "stale" | `Bypass -> "-"
 
 let run service doc q =
   match Service.query_doc service doc q with
@@ -24,8 +23,8 @@ let run service doc q =
   | Ok o ->
       Printf.printf "  %-12s %d results  (plan %s, result %s, %.3f ms)\n" q
         (List.length o.Service.result.Vamana.Engine.keys)
-        (tag o.Service.plan_cache) (tag o.Service.result_cache)
-        (o.Service.total_time *. 1000.)
+        (Service.cache_cell o.Service.plan_cache) (Service.cache_cell o.Service.result_cache)
+        (o.Service.record.Vamana.Engine.latency *. 1000.)
 
 let () =
   let store = Store.create () in

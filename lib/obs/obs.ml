@@ -59,11 +59,26 @@ type sampler = { mutable rate : int; mutable tick : int }
 
 let samplers : (string, sampler) Hashtbl.t = Hashtbl.create 16
 
-(* the bus clock starts on first use; timestamps are seconds since then,
-   monotone because they come from one process-local origin *)
+(* ---- the clock ----
+
+   One monotonic clock for every duration in the program: bechamel's
+   CLOCK_MONOTONIC reading (nanoseconds, noalloc, unboxed), as seconds.
+   Wall-clock time can step, so it is read only through [wall_clock],
+   and only where a Unix timestamp is stored. *)
+
+let[@inline] clock () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+let time f =
+  let t0 = clock () in
+  let r = f () in
+  (r, clock () -. t0)
+
+let wall_clock () = Unix.gettimeofday ()
+
+(* bus timestamps are seconds since the bus first woke up *)
 let epoch = ref nan
 let now () =
-  let t = Unix.gettimeofday () in
+  let t = clock () in
   if Float.is_nan !epoch then epoch := t;
   t -. !epoch
 
@@ -183,29 +198,11 @@ let emit ?(severity = Info) ~category name attrs =
     List.iter (fun s -> s.fn e) !sinks
   end
 
-let time_span ?severity ~category name attrs f =
-  if !active_flag then begin
-    let t0 = Unix.gettimeofday () in
-    match f () with
-    | r ->
-        let dur_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-        emit ?severity ~category name (attrs @ [ ("dur_ms", Float dur_ms) ]);
-        r
-    | exception exn ->
-        (* a span that raises still happened: emit it with the error
-           attached so failed queries appear in traces, then re-raise *)
-        let bt = Printexc.get_raw_backtrace () in
-        let dur_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-        emit ~severity:Error ~category name
-          (attrs @ [ ("dur_ms", Float dur_ms); ("error", Str (Printexc.to_string exn)) ]);
-        Printexc.raise_with_backtrace exn bt
-  end
-  else f ()
-
 (* ---- JSON / text rendering ----
 
-   Hand-rolled like Metrics: names are identifiers we mint, but query
-   text rides in attributes, so escape fully. *)
+   The program's one JSON string escaper and float writer (Metrics and
+   Profile.Json write through them).  Names are identifiers we mint, but
+   query text rides in attributes, so escape fully. *)
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 2) in
@@ -225,6 +222,7 @@ let json_escape s =
     s;
   Buffer.contents buf
 
+(* JSON has no inf/nan literals: they render as null *)
 let json_float f =
   if not (Float.is_finite f) then "null"
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f

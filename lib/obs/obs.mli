@@ -45,6 +45,25 @@ type event = {
 val severity_to_string : severity -> string
 val severity_of_string : string -> severity option
 
+(** {1 The clock}
+
+    Every duration in the program is measured here, on one monotonic
+    clock (CLOCK_MONOTONIC through bechamel's [Monotonic_clock]); wall
+    time can step and is read only through {!wall_clock}. *)
+
+val clock : unit -> float
+(** Monotonic seconds from an arbitrary origin: subtract two readings
+    for a duration. *)
+
+val time : (unit -> 'a) -> 'a * float
+(** [time f] runs [f] and returns its value with the elapsed
+    {!clock} seconds — the one timer. *)
+
+val wall_clock : unit -> float
+(** Unix time in seconds ([Unix.gettimeofday]) — the one wall-clock
+    read, for stored timestamps only (flight records, the slow log, the
+    plan-health table), never for durations. *)
+
 (** {1 Hot-path gate} *)
 
 val active : unit -> bool
@@ -58,21 +77,6 @@ val emit :
 (** Emit an event to every subscriber (after the category's sampling
     decision).  A no-op when {!active} is [false].  [severity] defaults
     to [Info]. *)
-
-val time_span :
-  ?severity:severity ->
-  category:string ->
-  string ->
-  (string * value) list ->
-  (unit -> 'a) ->
-  'a
-(** [time_span ~category name attrs f] runs [f] and, if the bus is
-    active, emits the event with a [dur_ms] attribute appended.  When
-    inactive it costs the one branch and runs [f] directly.  If [f]
-    raises, the span is still emitted — at [Error] severity with an
-    [error] attribute holding the exception text — and the exception is
-    re-raised with its backtrace intact, so failed work shows up in
-    traces instead of vanishing. *)
 
 (** {1 Emission context}
 
@@ -140,6 +144,15 @@ val attach_jsonl : out_channel -> sink
     to the channel, flushing per event so [--follow] output is live. *)
 
 (** {1 JSON} *)
+
+val json_escape : string -> string
+(** The body of a JSON string literal (without the quotes): quote,
+    backslash and every control character escaped.  The one escaper —
+    every JSON writer in the program calls it. *)
+
+val json_float : float -> string
+(** A float as a JSON number: integral values as ["%.1f"], others as
+    ["%.6g"], and [nan]/[inf] as [null]. *)
 
 val to_json_string : event -> string
 (** One-line JSON object:

@@ -153,7 +153,8 @@ let samples r =
   done;
   !out
 
-let observe t r ~epoch ~latency ~pages ~results ?(estimate_q = 1.0) (rep : Profile.report) =
+let sample t r ~estimate_q (run : Vamana.Engine.record) (rep : Profile.report) =
+  let epoch = run.Vamana.Engine.epoch in
   let worst_op, worst_q = worst_operator rep in
   let root_q = clamp_q rep.Profile.root_q_error in
   let max_q = Float.max (clamp_q rep.Profile.max_q_error) worst_q in
@@ -165,11 +166,12 @@ let observe t r ~epoch ~latency ~pages ~results ?(estimate_q = 1.0) (rep : Profi
   r.hr_drift <- ((1.0 -. t.h_alpha) *. r.hr_drift) +. (t.h_alpha *. d);
   r.hr_sampled <- r.hr_sampled + 1;
   r.hr_last_epoch <- epoch;
-  r.hr_last_at <- Unix.gettimeofday ();
+  r.hr_last_at <- Obs.wall_clock ();
   push_sample r
-    { s_at = r.hr_last_at; s_epoch = epoch; s_latency = latency; s_results = results;
-      s_root_q = root_q; s_max_q = max_q; s_estimate_q = estimate_q; s_worst_op = worst_op;
-      s_pages = pages; s_drift = r.hr_drift };
+    { s_at = r.hr_last_at; s_epoch = epoch; s_latency = run.Vamana.Engine.latency;
+      s_results = run.Vamana.Engine.results; s_root_q = root_q; s_max_q = max_q;
+      s_estimate_q = estimate_q; s_worst_op = worst_op;
+      s_pages = run.Vamana.Engine.exec_io.Storage.Stats.logical_reads; s_drift = r.hr_drift };
   (* replan backoff: when a re-prepared plan still drifts (an estimation
      error no statistics refresh can fix — e.g. a correlated predicate,
      or est > 0 over an operator that never produces), re-replanning
@@ -195,6 +197,11 @@ let observe t r ~epoch ~latency ~pages ~results ?(estimate_q = 1.0) (rep : Profi
           ("epoch", Obs.Int epoch) ]
   end;
   crossed
+
+let observe t r ?(estimate_q = 1.0) (run : Vamana.Engine.record) =
+  match run.Vamana.Engine.profile with
+  | Some rep -> sample t r ~estimate_q run rep
+  | None -> false
 
 let note_replan _t r ~epoch =
   r.hr_replans <- r.hr_replans + 1;

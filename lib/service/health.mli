@@ -28,7 +28,7 @@
 type t
 
 type sample = {
-  s_at : float;  (** [Unix.gettimeofday] at the sampled run *)
+  s_at : float;  (** Unix time ({!Obs.wall_clock}) of the sampled run *)
   s_epoch : int;  (** store mutation epoch of the sampled run *)
   s_latency : float;  (** execute seconds *)
   s_results : int;
@@ -97,21 +97,15 @@ val note_execution : t -> record -> bool
     nothing — integer countdown only — so the unsampled path costs two
     loads and a store (verified by test). *)
 
-val observe :
-  t ->
-  record ->
-  epoch:int ->
-  latency:float ->
-  pages:int ->
-  results:int ->
-  ?estimate_q:float ->
-  Vamana.Profile.report ->
-  bool
-(** Fold one sampled run into the record; [estimate_q] (default 1.0) is
-    the whole-plan compile-time vs current-statistics estimate ratio.
-    Returns [true] when this sample pushed the drift score over the
-    threshold (the record is now stale; a [health/plan_drift] event was
-    emitted if the bus is active). *)
+val observe : t -> record -> ?estimate_q:float -> Vamana.Engine.record -> bool
+(** Fold one sampled run — the execute-phase record of a profiled
+    {!Vamana.Engine.execute_prepared} — into the health record: its
+    profile's q-errors, epoch, latency, result count and execute-phase
+    page reads.  [estimate_q] (default 1.0) is the whole-plan
+    compile-time vs current-statistics estimate ratio.  Returns [true]
+    when this sample pushed the drift score over the threshold (the
+    record is now stale; a [health/plan_drift] event was emitted if the
+    bus is active); a run without a profile is ignored ([false]). *)
 
 val stale : record -> bool
 

@@ -82,37 +82,15 @@ let render_text ?io t =
       line "%-28s %.3f" "hit_ratio" (Storage.Stats.hit_ratio s));
   Buffer.contents buf
 
-(* ---- JSON rendering (hand-rolled: keys are identifiers we mint and
-   the only string data is metric names, but escape defensively) ---- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* ---- JSON rendering (hand-rolled through Obs's escaper: keys are
+   identifiers we mint and the only string data is metric names, but
+   escape defensively) ---- *)
 
 let json_obj fields =
-  "{" ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" (json_escape k) v) fields) ^ "}"
-
-let json_float f =
-  (* JSON has no inf/nan literals; "%.6g" would emit them verbatim *)
-  if not (Float.is_finite f) then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.6g" f
+  "{" ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" (Obs.json_escape k) v) fields) ^ "}"
 
 let histogram_json h =
-  let ms v = json_float (v *. 1000.) in
+  let ms v = Obs.json_float (v *. 1000.) in
   json_obj
     [ ("count", string_of_int (H.count h));
       ("sum_ms", ms (H.sum h));
@@ -128,7 +106,7 @@ let render_json ?io t =
     json_obj (List.map (fun (name, v) -> (name, string_of_int v)) (counters t))
   in
   let rates_json =
-    json_obj (List.map (fun (base, r) -> (base, json_float r)) (hit_rates t))
+    json_obj (List.map (fun (base, r) -> (base, Obs.json_float r)) (hit_rates t))
   in
   let histograms_json =
     json_obj (List.map (fun (name, h) -> (name, histogram_json h)) (histograms t))
@@ -148,7 +126,7 @@ let render_json ?io t =
                   ("page_writes", string_of_int s.Storage.Stats.page_writes);
                   ("evictions", string_of_int s.Storage.Stats.evictions);
                   ("allocations", string_of_int s.Storage.Stats.allocations);
-                  ("hit_ratio", json_float (Storage.Stats.hit_ratio s)) ] ) ]
+                  ("hit_ratio", Obs.json_float (Storage.Stats.hit_ratio s)) ] ) ]
   in
   json_obj fields
 

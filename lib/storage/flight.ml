@@ -88,7 +88,7 @@ let append t kind payload =
   t.size <- t.size + Buffer.length frame;
   if t.size > t.max_bytes then rotate t
 
-let now_ms () = int_of_float (Unix.gettimeofday () *. 1000.)
+let now_ms () = int_of_float (Obs.wall_clock () *. 1000.)
 
 let record_begin t ~qid ~epoch ~source =
   let b = Buffer.create 64 in

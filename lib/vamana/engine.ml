@@ -4,11 +4,25 @@ let log_src = Logs.Src.create "vamana.engine" ~doc:"VAMANA engine facade"
 
 module Log = (val Logs.src_log log_src)
 
-type attribution = {
-  attr_qid : int;
-  attr_io : Storage.Stats.t;
-  attr_wal_bytes : int;
-  attr_fsyncs : int;
+type cache = [ `Hit | `Miss | `Stale | `Bypass ]
+
+type record = {
+  qid : int;
+  source : string;
+  spans : Profile.span list;
+  exec_io : Storage.Stats.t;
+  io : Storage.Stats.t;
+  wal_bytes : int;
+  fsyncs : int;
+  latency : float;
+  results : int;
+  profile : Profile.report option;
+  plan_cache : cache;
+  result_cache : cache;
+  sampled : bool;
+  drift : float;
+  epoch : int;
+  error : string option;
 }
 
 type result = {
@@ -19,46 +33,57 @@ type result = {
   compile_time : float;
   optimize_time : float;
   execute_time : float;
-  io : Storage.Stats.t;
-  spans : Profile.span list;
-  profile : Profile.report option;
   analysis : Analysis.t;
-  attribution : attribution;
+  record : record;
 }
 
-(* ---- per-query attribution ----
+(* ---- the query window ----
 
-   Every execution runs under an [Obs] context carrying its query id,
-   so events emitted anywhere below (pager evictions, WAL appends,
-   fsyncs) attribute to the query that caused them.  A caller that
-   already established a qid context (the service does) wins; otherwise
-   a fresh id is minted here. *)
+   Every query runs under an [Obs] context carrying its query id, so
+   events emitted anywhere below (pager evictions, WAL appends, fsyncs)
+   attribute to the query that caused them.  A caller that already
+   established a qid context (the service does) wins; otherwise a fresh
+   id is minted here. *)
 
-let current_qid () =
-  match List.assoc_opt "qid" (Obs.context ()) with
-  | Some (Obs.Int q) -> Some q
-  | _ -> None
+(* the qid of the enclosing query context; 0 when there is none (ids
+   start at 1) *)
+let rec context_qid = function
+  | ("qid", Obs.Int q) :: _ -> q
+  | _ :: rest -> context_qid rest
+  | [] -> 0
 
-let with_qid f =
-  match current_qid () with
-  | Some q -> f q
-  | None ->
-      let q = Obs.fresh_query_id () in
-      Obs.with_context [ ("qid", Obs.Int q) ] (fun () -> f q)
-
-let disk_window store before =
-  match (before, Store.disk_io store) with
-  | Some b, Some live ->
-      let d = Storage.Disk.diff_io live b in
-      (d.Storage.Disk.wal_bytes_written, d.Storage.Disk.fsyncs)
-  | _ -> (0, 0)
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+(* The one place a query is measured: clock, aggregate buffer-pool I/O
+   and disk I/O over [f], under the query's qid.  [k] receives [f]'s
+   value with the window's figures and builds the query's record from
+   them — once, so no default record is allocated and copied.  The
+   execute phase is measured by the same function nested inside the
+   query's window; its I/O becomes the record's [exec_io]. *)
+let rec measure store f k =
+  match context_qid (Obs.context ()) with
+  | 0 ->
+      let qid = Obs.fresh_query_id () in
+      Obs.with_context [ ("qid", Obs.Int qid) ] (fun () -> measure store f k)
+  | qid -> (
+      let io0 = Storage.Stats.copy (Store.io_stats store) in
+      let disk0 = Option.map Storage.Disk.copy_io (Store.disk_io store) in
+      let t0 = Obs.clock () in
+      let x = f () in
+      let latency = Obs.clock () -. t0 in
+      let io = Storage.Stats.diff (Store.io_stats store) io0 in
+      match (disk0, Store.disk_io store) with
+      | Some before, Some live ->
+          let d = Storage.Disk.diff_io live before in
+          k x ~qid ~latency ~io ~wal_bytes:d.Storage.Disk.wal_bytes_written
+            ~fsyncs:d.Storage.Disk.fsyncs
+      | _ -> k x ~qid ~latency ~io ~wal_bytes:0 ~fsyncs:0)
 
 let scope_of_context context = if Flex.depth context = 0 then None else Some (Flex.prefix context 1)
+
+(* [scope = scope_of_context context], without building the scope *)
+let in_scope scope context =
+  match scope with
+  | None -> Flex.depth context = 0
+  | Some s -> Flex.depth s = 1 && Flex.is_ancestor_or_self s context
 
 (* a top-level union evaluates as independent plans whose result sets
    merge; each branch is optimized separately *)
@@ -105,45 +130,44 @@ let iteration_spans (o : Optimizer.outcome) =
     o.Optimizer.iteration_stats
 
 let prepare ?(optimize = true) store ~scope src =
-  let parsed, parse_time =
-    time (fun () ->
-        match Xpath.Parser.parse_spanned src with
-        | parsed -> Ok parsed
-        | exception (Xpath.Parser.Error _ as exn) ->
-            Error (Option.value ~default:"parse error" (Xpath.Parser.error_to_string exn)))
-  in
-  match parsed with
-  | Error msg -> Error msg
-  | Ok (ast, spans) -> (
+  (* each phase's duration is the difference of successive clock
+     readings at the phase boundaries *)
+  let t_parse = Obs.clock () in
+  match Xpath.Parser.parse_spanned src with
+  | exception (Xpath.Parser.Error _ as exn) ->
+      Error (Option.value ~default:"parse error" (Xpath.Parser.error_to_string exn))
+  | ast, spans -> (
+      let t_check = Obs.clock () in
       (* source-level static check against the path synopsis: runs before
          plan construction, so a schema-level emptiness proof suppresses
          the optimizer search and (context permitting) execution *)
-      let prep_report, check_time =
-        time (fun () ->
-            let schema = Mass.Synopsis.schema (Mass.Synopsis.for_store store) ~scope in
-            Xpath.Typecheck.check ~schema ~spans ast)
+      let prep_report =
+        let schema = Mass.Synopsis.schema (Mass.Synopsis.for_store store) ~scope in
+        Xpath.Typecheck.check ~schema ~spans ast
       in
-      let compiled, compile_only_time =
-        time (fun () ->
-            match ast with
-            | Xpath.Ast.Path p -> Ok [ Compile.compile_path p ]
-            | ast -> (
-                (* not a single path: try a union of paths *)
-                match union_branches ast with
-                | Some paths -> Ok (List.map Compile.compile_path paths)
-                | None -> Error "expression is not a location path or union of paths"))
+      let t_compile = Obs.clock () in
+      let compiled =
+        match ast with
+        | Xpath.Ast.Path p -> Ok [ Compile.compile_path p ]
+        | ast -> (
+            (* not a single path: try a union of paths *)
+            match union_branches ast with
+            | Some paths -> Ok (List.map Compile.compile_path paths)
+            | None -> Error "expression is not a location path or union of paths")
       in
+      let t_done = Obs.clock () in
+      let parse_time = t_check -. t_parse
+      and check_time = t_compile -. t_check
+      and compile_only_time = t_done -. t_compile in
       match compiled with
       | Error msg -> Error msg
       | Ok default_plans ->
           let outcomes, optimize_time =
             if optimize && not prep_report.Xpath.Typecheck.rep_empty then
               let stats = Cost.synopsis_statistics store in
-              let os, t =
-                time (fun () ->
-                    List.map (Optimizer.optimize ~stats store ~scope) default_plans)
-              in
-              (Some os, t)
+              let t_optimize = Obs.clock () in
+              let os = List.map (Optimizer.optimize ~stats store ~scope) default_plans in
+              (Some os, Obs.clock () -. t_optimize)
             else (None, 0.0)
           in
           let executed_plans =
@@ -179,7 +203,9 @@ let attrs_of_meta meta =
       | Profile.Json.Null | Profile.Json.Arr _ | Profile.Json.Obj _ -> None)
     meta
 
-let emit_query_events store ~context p spans by_index_before =
+(* the bus fold of an executed query: one [query/<phase>] event per
+   span, then the per-index I/O of the run *)
+let emit_query_events store ~context (r : record) by_index_before =
   let doc_name =
     match Store.document_of_key store context with
     | Some d -> d.Store.doc_name
@@ -188,10 +214,10 @@ let emit_query_events store ~context p spans by_index_before =
   List.iter
     (fun (s : Profile.span) ->
       Obs.emit ~category:"query" s.Profile.name
-        (("query", Obs.Str p.source)
+        (("query", Obs.Str r.source)
          :: ("dur_ms", Obs.Float (s.Profile.dur *. 1000.))
          :: attrs_of_meta s.Profile.meta))
-    spans;
+    r.spans;
   List.iter2
     (fun (name, before) (name', live) ->
       assert (String.equal name name');
@@ -200,15 +226,24 @@ let emit_query_events store ~context p spans by_index_before =
         Obs.emit ~category:"storage" "query_io"
           [ ("index", Obs.Str name);
             ("doc", Obs.Str doc_name);
-            ("query", Obs.Str p.source);
+            ("query", Obs.Str r.source);
             ("logical_reads", Obs.Int d.Storage.Stats.logical_reads);
             ("physical_reads", Obs.Int d.Storage.Stats.physical_reads);
             ("evictions", Obs.Int d.Storage.Stats.evictions);
             ("hit_ratio", Obs.Float (Storage.Stats.hit_ratio d)) ])
     by_index_before (Store.io_by_index store)
 
+(* a statically-empty plan is skipped without instantiating the executor *)
+let skip p plan a =
+  if Analysis.statically_empty a then begin
+    if Obs.active () then
+      Obs.emit ~category:"engine" "static_empty_skip"
+        [ ("query", Obs.Str p.source); ("plan", Obs.Str (Plan.kind_to_string (Plan.leaf plan))) ];
+    true
+  end
+  else false
+
 let execute_prepared ?(profile = false) store ~context p =
-  with_qid @@ fun qid ->
   let pctx = if profile then Some (Profile.create store) else None in
   let observed = Obs.active () in
   let by_index_before =
@@ -216,27 +251,13 @@ let execute_prepared ?(profile = false) store ~context p =
       List.map (fun (n, s) -> (n, Storage.Stats.copy s)) (Store.io_by_index store)
     else []
   in
-  let io_before = Storage.Stats.copy (Store.io_stats store) in
-  let disk_before = Option.map Storage.Disk.copy_io (Store.disk_io store) in
   (* prepared analyses are statistics snapshots: reusable exactly while
      the store reports the preparation epoch and the context stays in the
      analyzed scope; otherwise re-derive (cheap, index-count probes) *)
   let analyses =
-    if
-      p.prep_epoch = Store.epoch store
-      && Option.equal Flex.equal p.prep_scope (scope_of_context context)
-    then p.analyses
+    if p.prep_epoch = Store.epoch store && in_scope p.prep_scope context then p.analyses
     else
       List.map (Analysis.analyze store ~scope:(scope_of_context context)) p.executed_plans
-  in
-  let skip plan a =
-    if Analysis.statically_empty a then begin
-      if Obs.active () then
-        Obs.emit ~category:"engine" "static_empty_skip"
-          [ ("query", Obs.Str p.source); ("plan", Obs.Str (Plan.kind_to_string (Plan.leaf plan))) ];
-      true
-    end
-    else false
   in
   (* The typecheck walk interprets the query with the document node as
      context, so its emptiness proof only transfers when this execution
@@ -248,18 +269,18 @@ let execute_prepared ?(profile = false) store ~context p =
        | Some dk -> Flex.equal dk context
        | None -> Flex.depth context = 0)
   in
-  let keys, execute_time =
-    time (fun () ->
-        if schema_skip then begin
-          if Obs.active () then
-            Obs.emit ~category:"engine" "static_empty_skip"
-              [ ("query", Obs.Str p.source); ("source", Obs.Str "synopsis") ];
-          []
-        end
-        else
-        match List.combine p.executed_plans analyses with
-        | [ (plan, a) ] ->
-            if skip plan a then []
+  measure store
+    (fun () ->
+      if schema_skip then begin
+        if Obs.active () then
+          Obs.emit ~category:"engine" "static_empty_skip"
+            [ ("query", Obs.Str p.source); ("source", Obs.Str "synopsis") ];
+        []
+      end
+      else
+        match (p.executed_plans, analyses) with
+        | [ plan ], [ a ] ->
+            if skip p plan a then []
             else
               let rp = a.Analysis.root_props in
               if rp.Analysis.order = Analysis.Doc && rp.Analysis.distinct then
@@ -267,18 +288,17 @@ let execute_prepared ?(profile = false) store ~context p =
                    duplicate-free: the final sort_uniq is a no-op *)
                 Exec.run_raw ?profile:pctx store ~context plan
               else Exec.run ?profile:pctx store ~context plan
-        | pairs ->
+        | plans, analyses ->
             (* union branches execute independently; the result sets merge *)
             List.sort_uniq Flex.compare
-              (List.concat_map
-                 (fun (plan, a) ->
-                   if skip plan a then [] else Exec.run ?profile:pctx store ~context plan)
-                 pairs))
-  in
-  let io = Storage.Stats.diff (Store.io_stats store) io_before in
-  let spans = p.prep_spans @ [ Profile.span "execute" execute_time ] in
-  if observed then emit_query_events store ~context p spans by_index_before;
-  let profile_report =
+              (List.concat
+                 (List.map2
+                    (fun plan a ->
+                      if skip p plan a then [] else Exec.run ?profile:pctx store ~context plan)
+                    plans analyses)))
+  @@ fun keys ~qid ~latency ~io ~wal_bytes ~fsyncs ->
+  let spans = p.prep_spans @ [ Profile.span "execute" latency ] in
+  let profile =
     Option.map
       (fun ctx ->
         (* a union profiles every branch into one context; the annotated
@@ -289,45 +309,42 @@ let execute_prepared ?(profile = false) store ~context p =
           | Some (o :: _) -> o.Optimizer.cost
           | Some [] | None -> Cost.estimate store ~scope:(scope_of_context context) plan
         in
-        Profile.make ctx ~cost ~spans ~total_time:execute_time plan)
+        Profile.make ctx ~cost ~spans ~total_time:latency plan)
       pctx
   in
+  let record =
+    { qid; source = p.source; spans; exec_io = io; io; wal_bytes; fsyncs; latency;
+      results = List.length keys; profile; plan_cache = `Bypass; result_cache = `Bypass;
+      sampled = false; drift = 0.0; epoch = Store.epoch store; error = None }
+  in
+  if observed then emit_query_events store ~context record by_index_before;
   Log.debug (fun m ->
       m "%s: %d results, compile %.3fms opt %.3fms exec %.3fms, %d page reads" p.source
-        (List.length keys) (p.prep_compile_time *. 1000.) (p.prep_optimize_time *. 1000.)
-        (execute_time *. 1000.) io.Storage.Stats.logical_reads);
-  let attribution =
-    let wal, fs = disk_window store disk_before in
-    { attr_qid = qid; attr_io = io; attr_wal_bytes = wal; attr_fsyncs = fs }
-  in
+        record.results (p.prep_compile_time *. 1000.) (p.prep_optimize_time *. 1000.)
+        (latency *. 1000.) io.Storage.Stats.logical_reads);
   { keys;
     default_plan = List.hd p.default_plans;
     executed_plan = List.hd p.executed_plans;
     optimizer = Option.map List.hd p.outcomes;
     compile_time = p.prep_compile_time;
     optimize_time = p.prep_optimize_time;
-    execute_time; io; spans; profile = profile_report;
-    analysis = List.hd analyses; attribution }
+    execute_time = latency;
+    analysis = List.hd analyses;
+    record }
 
 let query ?optimize ?profile store ~context src =
-  (* attribute over the whole prepare+execute window: optimizer and
-     synopsis probe reads belong to the query that triggered them, so a
-     single query's attributed counters sum to the Stats globals *)
-  with_qid @@ fun qid ->
-  let io_before = Storage.Stats.copy (Store.io_stats store) in
-  let disk_before = Option.map Storage.Disk.copy_io (Store.disk_io store) in
-  match prepare ?optimize store ~scope:(scope_of_context context) src with
+  (* one window over prepare + execute: optimizer and synopsis probe
+     reads belong to the query that triggered them, so a single query's
+     record sums to the Stats globals *)
+  measure store
+    (fun () ->
+      match prepare ?optimize store ~scope:(scope_of_context context) src with
+      | Error _ as e -> e
+      | Ok p -> Ok (execute_prepared ?profile store ~context p))
+  @@ fun r ~qid:_ ~latency ~io ~wal_bytes ~fsyncs ->
+  match r with
+  | Ok r -> Ok { r with record = { r.record with io; wal_bytes; fsyncs; latency } }
   | Error _ as e -> e
-  | Ok p ->
-      let r = execute_prepared ?profile store ~context p in
-      let wal, fs = disk_window store disk_before in
-      let attribution =
-        { attr_qid = qid;
-          attr_io = Storage.Stats.diff (Store.io_stats store) io_before;
-          attr_wal_bytes = wal;
-          attr_fsyncs = fs }
-      in
-      Ok { r with attribution }
 
 let query_doc ?optimize ?profile store doc src =
   query ?optimize ?profile store ~context:doc.Store.doc_key src
@@ -353,7 +370,7 @@ let eval store ~context src =
   | exception (Xpath.Parser.Error _ as exn) ->
       Error (Option.value ~default:"parse error" (Xpath.Parser.error_to_string exn))
   | ast -> (
-      match Nav.E.eval store ~context ast with
+      match Mass.Nav.E.eval store ~context ast with
       | v -> Ok v
       | exception Xpath.Eval.Unsupported msg -> Error msg)
 
@@ -402,7 +419,7 @@ let explain_analyze ?(optimize = true) ?(json = false) store doc src =
   match query ~optimize ~profile:true store ~context:doc.Store.doc_key src with
   | Error _ as e -> e
   | Ok r -> (
-      match r.profile with
+      match r.record.profile with
       | None -> Error "profiling produced no report"
       | Some rep ->
           if json then
@@ -415,15 +432,14 @@ let explain_analyze ?(optimize = true) ?(json = false) store doc src =
                       ("analysis", Analysis.to_json r.analysis r.executed_plan);
                       ("footprint", Footprint.to_json (Footprint.of_plan r.executed_plan));
                       ( "attribution",
-                        let a = r.attribution in
+                        let a = r.record in
                         Profile.Json.Obj
-                          [ ("qid", Profile.Json.Int a.attr_qid);
-                            ("pages_read", Profile.Json.Int a.attr_io.Storage.Stats.logical_reads);
-                            ( "physical_reads",
-                              Profile.Json.Int a.attr_io.Storage.Stats.physical_reads );
-                            ("evictions", Profile.Json.Int a.attr_io.Storage.Stats.evictions);
-                            ("wal_bytes", Profile.Json.Int a.attr_wal_bytes);
-                            ("fsyncs", Profile.Json.Int a.attr_fsyncs) ] ) ]))
+                          [ ("qid", Profile.Json.Int a.qid);
+                            ("pages_read", Profile.Json.Int a.io.Storage.Stats.logical_reads);
+                            ("physical_reads", Profile.Json.Int a.io.Storage.Stats.physical_reads);
+                            ("evictions", Profile.Json.Int a.io.Storage.Stats.evictions);
+                            ("wal_bytes", Profile.Json.Int a.wal_bytes);
+                            ("fsyncs", Profile.Json.Int a.fsyncs) ] ) ]))
           else
             let props_section =
               Format.asprintf "Static properties:@.%a"
@@ -444,12 +460,11 @@ let explain_analyze ?(optimize = true) ?(json = false) store doc src =
                 (Footprint.to_string (Footprint.of_plan r.executed_plan))
             in
             let attr_section =
-              let a = r.attribution in
+              let a = r.record in
               Printf.sprintf
                 "Attributed I/O (qid %d): pages_read=%d physical_reads=%d evictions=%d wal_bytes=%d fsyncs=%d\n"
-                a.attr_qid a.attr_io.Storage.Stats.logical_reads
-                a.attr_io.Storage.Stats.physical_reads a.attr_io.Storage.Stats.evictions
-                a.attr_wal_bytes a.attr_fsyncs
+                a.qid a.io.Storage.Stats.logical_reads a.io.Storage.Stats.physical_reads
+                a.io.Storage.Stats.evictions a.wal_bytes a.fsyncs
             in
             Ok
               (Printf.sprintf "Query: %s\n%d results\n%s%s%s%s%s" src (List.length r.keys)

@@ -4,20 +4,59 @@
     plans, cost annotations, optimizer trace, timings and buffer-pool I/O
     deltas — everything the benchmark harness reports. *)
 
-type attribution = {
-  attr_qid : int;  (** the query id every event emitted below carried *)
-  attr_io : Storage.Stats.t;
-      (** buffer-pool I/O over the attributed window — for {!query} the
-          whole prepare+execute window (optimizer probes included), for
-          a bare {!execute_prepared} the execute window only *)
-  attr_wal_bytes : int;  (** WAL bytes appended during the window (0 on [Mem]) *)
-  attr_fsyncs : int;  (** disk fsyncs during the window (0 on [Mem]) *)
+type cache = [ `Hit  (** served from cache *)
+             | `Miss  (** not present; computed and inserted *)
+             | `Stale  (** present but out of date; recomputed *)
+             | `Bypass  (** cache disabled, or not consulted *) ]
+(** A cache disposition, as the query service reports it. *)
+
+type record = {
+  qid : int;
+      (** the query id every bus event emitted during the query carried
+          (and the flight recorder keys on) *)
+  source : string;  (** the query text as submitted *)
+  spans : Profile.span list;
+      (** phase spans: [parse], [typecheck], [compile], one [optimize]
+          span per optimizer iteration (with accepted/considered/rejected
+          rule counts), and [execute]; empty when nothing executed *)
+  exec_io : Storage.Stats.t;  (** buffer-pool I/O of the execute phase *)
+  io : Storage.Stats.t;  (** buffer-pool I/O over the whole window *)
+  wal_bytes : int;  (** WAL bytes appended during the window (0 on [Mem]) *)
+  fsyncs : int;  (** disk fsyncs during the window (0 on [Mem]) *)
+  latency : float;  (** seconds the window took, on {!Obs.clock} *)
+  results : int;  (** result-sequence length (0 on error) *)
+  profile : Profile.report option;
+      (** per-operator actuals joined with estimates, when the run was
+          profiled *)
+  plan_cache : cache;  (** filled in by the query service; [`Bypass] here *)
+  result_cache : cache;  (** filled in by the query service; [`Bypass] here *)
+  sampled : bool;
+      (** the plan-health sampler instrumented this run (service only) *)
+  drift : float;  (** the plan's EWMA drift score after the run (service only) *)
+  epoch : int;  (** {!Mass.Store.epoch} when the window closed *)
+  error : string option;  (** [Some msg] when the query failed *)
 }
-(** Per-query resource attribution.  Execution runs inside an
-    {!Obs.with_context} scope carrying [("qid", Int attr_qid)], so bus
-    events fired by any layer during this query (evictions,
-    [wal_append], [wal_fsync], ...) carry the same id — the deltas here
-    and the event stream tell one story. *)
+(** One query, measured once.  {!measure} opens the query's single
+    window — qid context, clock, aggregate buffer-pool I/O and disk I/O
+    — and every consumer (metrics, the flight recorder, plan health, the
+    slow-query log, the bus) folds this immutable record instead of
+    re-measuring.  For {!execute_prepared} the window is the execute
+    phase ([io = exec_io]); for {!query} it covers prepare + execute;
+    for [Vamana_service.Service.query] the whole serve path. *)
+
+val measure :
+  Mass.Store.t ->
+  (unit -> 'a) ->
+  ('a -> qid:int -> latency:float -> io:Storage.Stats.t -> wal_bytes:int -> fsyncs:int -> 'b) ->
+  'b
+(** [measure store f k] runs [f] inside a query's window and hands its
+    value to [k] with the window's figures: the query id (the caller's
+    qid context, or a fresh one under which [f] and [k] run), the
+    elapsed {!Obs.clock} seconds, and the buffer-pool I/O, WAL bytes and
+    fsyncs over [f].  [k] builds the query's {!record} from them, once.
+    The only function that snapshots the store's I/O counters; the
+    execute phase is measured by a nested call inside the query's
+    window. *)
 
 type result = {
   keys : Flex.t list;  (** document order, duplicate-free *)
@@ -27,19 +66,12 @@ type result = {
   compile_time : float;  (** seconds *)
   optimize_time : float;
   execute_time : float;
-  io : Storage.Stats.t;  (** I/O performed by execution only *)
-  spans : Profile.span list;
-      (** trace spans: [parse], [compile], one [optimize] span per
-          optimizer iteration (with accepted/considered/rejected rule
-          counts), and [execute] — always collected, they cost a handful
-          of allocations per query *)
-  profile : Profile.report option;
-      (** per-operator actuals joined with estimates; [Some] only when
-          the query ran with [~profile:true] *)
   analysis : Analysis.t;
       (** inferred stream properties and diagnostics of the executed plan
           (first branch for a union), as consulted by the execution path *)
-  attribution : attribution;  (** this query's attributed resource use *)
+  record : record;
+      (** the query's measured record: spans, I/O, result count and the
+          profile ([Some] only when the query ran with [~profile:true]) *)
 }
 
 type prepared = {

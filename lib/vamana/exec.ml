@@ -85,7 +85,7 @@ let num_cmp (cmp : Ast.binop) a b =
   | Ast.And | Ast.Or | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod | Ast.Union ->
       invalid_arg "Exec: not a comparison"
 
-let number_of_string store s = Nav.E.to_number store (Xpath.Eval.Str s)
+let number_of_string store s = Mass.Nav.E.to_number store (Xpath.Eval.Str s)
 
 let rec next it : Flex.t option =
   match it.prof with
@@ -195,7 +195,7 @@ and next_generic it s =
   | [] -> (
       let feed ctx =
         match
-          Nav.E.eval it.store ~context:ctx (Ast.Path { Ast.absolute = false; steps = [ s ] })
+          Mass.Nav.E.eval it.store ~context:ctx (Ast.Path { Ast.absolute = false; steps = [ s ] })
         with
         | Xpath.Eval.Nodes ns -> ns
         | _ -> []
@@ -239,9 +239,9 @@ and eval_pred store pred k position =
   | RNot a -> not (eval_pred store a k position)
   | RPosition (cmp, n) -> num_cmp cmp position n
   | RGeneric e -> (
-      match Nav.E.eval store ~context:k e with
+      match Mass.Nav.E.eval store ~context:k e with
       | Xpath.Eval.Num f -> f = position
-      | v -> Nav.E.to_boolean store v)
+      | v -> Mass.Nav.E.to_boolean store v)
 
 and side store operand k =
   match operand with

@@ -10,24 +10,6 @@ module Json = struct
     | Arr of t list
     | Obj of (string * t) list
 
-  let escape s =
-    let buf = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | '\b' -> Buffer.add_string buf "\\b"
-        | '\012' -> Buffer.add_string buf "\\f"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
   (* shortest decimal form that re-parses to the same float *)
   let float_repr f =
     let s = Printf.sprintf "%.12g" f in
@@ -45,7 +27,7 @@ module Json = struct
         Buffer.add_string buf (if Float.is_finite f then float_repr f else "null")
     | Str s ->
         Buffer.add_char buf '"';
-        Buffer.add_string buf (escape s);
+        Buffer.add_string buf (Obs.json_escape s);
         Buffer.add_char buf '"'
     | Arr xs ->
         Buffer.add_char buf '[';
@@ -61,7 +43,7 @@ module Json = struct
           (fun i (k, x) ->
             if i > 0 then Buffer.add_string buf ", ";
             Buffer.add_char buf '"';
-            Buffer.add_string buf (escape k);
+            Buffer.add_string buf (Obs.json_escape k);
             Buffer.add_string buf "\": ";
             write buf x)
           fields;
@@ -311,11 +293,11 @@ let frame ctx s f =
   ctx.child_time <- 0.0;
   ctx.child_reads <- 0;
   ctx.child_phys <- 0;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.clock () in
   let r0, p0 = ctx.read_io () in
   match f () with
   | result ->
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = Obs.clock () -. t0 in
       let r1, p1 = ctx.read_io () in
       let dr = r1 - r0 in
       let dp = p1 - p0 in

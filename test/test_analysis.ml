@@ -121,15 +121,15 @@ let test_engine_short_circuit () =
   | Error e -> Alcotest.fail e
   | Ok r ->
       Alcotest.(check bool) "control query reads pages" true
-        (r.Engine.io.Storage.Stats.logical_reads > 0));
+        (r.Engine.record.Engine.exec_io.Storage.Stats.logical_reads > 0));
   match Engine.query store ~context:doc.Store.doc_key "//nosuchtag" with
   | Error e -> Alcotest.fail e
   | Ok r ->
       Alcotest.(check (list string)) "no results" []
         (List.map Flex.to_string r.Engine.keys);
       Alcotest.(check bool) "statically empty" true (A.statically_empty r.Engine.analysis);
-      Alcotest.(check int) "zero logical reads" 0 r.Engine.io.Storage.Stats.logical_reads;
-      Alcotest.(check int) "zero physical reads" 0 r.Engine.io.Storage.Stats.physical_reads
+      Alcotest.(check int) "zero logical reads" 0 r.Engine.record.Engine.exec_io.Storage.Stats.logical_reads;
+      Alcotest.(check int) "zero physical reads" 0 r.Engine.record.Engine.exec_io.Storage.Stats.physical_reads
 
 let test_short_circuit_event () =
   let store, doc = Test_vamana.setup () in

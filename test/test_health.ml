@@ -79,7 +79,7 @@ let test_unsampled_executions_are_silent () =
       done;
       let last = run service doc "//person" in
       Alcotest.(check bool) "unsampled run carries no profile" true
-        (last.Service.result.Vamana.Engine.profile = None);
+        (last.Service.result.Vamana.Engine.record.Vamana.Engine.profile = None);
       Alcotest.(check int) "only the baseline was sampled" 1
         (counter service "sampled_executions");
       let health_events =
@@ -126,7 +126,7 @@ let test_drift_detection_and_replan () =
         (List.length replanned.Service.result.Vamana.Engine.keys);
       (* the replan schedules an immediate verification sample; fresh
          statistics price every operator within 1.5x *)
-      (match replanned.Service.result.Vamana.Engine.profile with
+      (match replanned.Service.result.Vamana.Engine.record.Vamana.Engine.profile with
       | None -> Alcotest.fail "replanned run was not sampled"
       | Some rep ->
           Alcotest.(check bool)
@@ -164,7 +164,14 @@ let test_replan_backoff () =
     { Vamana.Profile.plan = node; spans = []; total_time = 0.0;
       root_q_error = 16.0; max_q_error = 16.0 }
   in
-  let observe () = ignore (Health.observe h r ~epoch:1 ~latency:0.0 ~pages:0 ~results:0 rep) in
+  let run =
+    Vamana.Engine.measure (Mass.Store.create ()) ignore
+    @@ fun () ~qid ~latency:_ ~io ~wal_bytes ~fsyncs ->
+    { Vamana.Engine.qid; source = "q"; spans = []; exec_io = io; io; wal_bytes; fsyncs;
+      latency = 0.0; results = 0; profile = Some rep; plan_cache = `Miss; result_cache = `Miss;
+      sampled = true; drift = 0.0; epoch = 1; error = None }
+  in
+  let observe () = ignore (Health.observe h r run) in
   let replans_after n =
     for _ = 1 to n do
       observe ();
@@ -196,13 +203,13 @@ let test_sampled_profile_matches_explain_analyze () =
   let q = "//person/address" in
   let sampled = run service doc q in
   let service_rep =
-    match sampled.Service.result.Vamana.Engine.profile with
+    match sampled.Service.result.Vamana.Engine.record.Vamana.Engine.profile with
     | Some rep -> rep
     | None -> Alcotest.fail "sample_every 1 must profile every execution"
   in
   let explicit_rep =
     match Vamana.Engine.query store ~context:doc.Store.doc_key ~profile:true q with
-    | Ok r -> Option.get r.Vamana.Engine.profile
+    | Ok r -> Option.get r.Vamana.Engine.record.Vamana.Engine.profile
     | Error e -> Alcotest.fail e
   in
   Alcotest.(check (list int)) "same per-operator actuals"

@@ -102,13 +102,13 @@ let test_profile_off_no_structures () =
     | Ok r -> r
     | Error e -> Alcotest.fail e
   in
-  Alcotest.(check bool) "no report without ~profile" true (plain.Engine.profile = None);
+  Alcotest.(check bool) "no report without ~profile" true (plain.Engine.record.Engine.profile = None);
   let profiled =
     match Engine.query ~profile:true store ~context:doc.Store.doc_key "//a/b" with
     | Ok r -> r
     | Error e -> Alcotest.fail e
   in
-  Alcotest.(check bool) "report present with ~profile" true (profiled.Engine.profile <> None);
+  Alcotest.(check bool) "report present with ~profile" true (profiled.Engine.record.Engine.profile <> None);
   Alcotest.(check (list string))
     "instrumentation does not change results"
     (List.map Flex.to_string plain.Engine.keys)
@@ -121,14 +121,14 @@ let test_spans () =
     | Ok r -> r
     | Error e -> Alcotest.fail e
   in
-  let names = List.map (fun (s : Profile.span) -> s.Profile.name) r.Engine.spans in
+  let names = List.map (fun (s : Profile.span) -> s.Profile.name) r.Engine.record.Engine.spans in
   List.iter
     (fun expected ->
       Alcotest.(check bool) ("span " ^ expected) true (List.mem expected names))
     [ "parse"; "compile"; "optimize"; "execute" ];
   (* the final optimize iteration is the fixpoint pass: accepted = null *)
   let optimize_spans =
-    List.filter (fun (s : Profile.span) -> s.Profile.name = "optimize") r.Engine.spans
+    List.filter (fun (s : Profile.span) -> s.Profile.name = "optimize") r.Engine.record.Engine.spans
   in
   let last = List.nth optimize_spans (List.length optimize_spans - 1) in
   Alcotest.(check bool) "fixpoint iteration accepted nothing" true
@@ -147,7 +147,7 @@ let test_json_round_trip () =
     | Ok r -> r
     | Error e -> Alcotest.fail e
   in
-  let rep = Option.get r.Engine.profile in
+  let rep = Option.get r.Engine.record.Engine.profile in
   let v = Profile.render_json rep in
   let text = J.to_string v in
   (match J.of_string text with

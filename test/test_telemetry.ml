@@ -422,7 +422,10 @@ let test_flight_torn_tail () =
 (* On a single-query batch the attributed counters must equal the
    store's global deltas — the sum-consistency the slow log, EXPLAIN
    ANALYZE and the flight recorder all rely on.  Runs on the file
-   backend so the WAL/fsync columns are exercised too. *)
+   backend so the WAL/fsync columns are exercised too.  Every consumer
+   folds the same per-query record, so the outcome, the slow-log entry,
+   the flight End frame, the service/query bus event and the query
+   latency histogram must agree exactly, not approximately. *)
 let test_attribution_sum_consistency () =
   with_bus @@ fun () ->
   with_dir @@ fun dir ->
@@ -439,37 +442,64 @@ let test_attribution_sum_consistency () =
   in
   Store.reset_io_stats store;
   let disk0 = Storage.Disk.copy_io (Option.get (Store.disk_io store)) in
+  Obs.attach_ring ();
   let outcome =
     match Service.query service ~context:doc.Store.doc_key "//b" with
     | Ok o -> o
     | Error e -> Alcotest.fail e
   in
-  let a = outcome.Service.attribution in
+  let a = outcome.Service.record in
+  let module E = Vamana.Engine in
   let g = Store.io_stats store in
   let dd = Storage.Disk.diff_io (Option.get (Store.disk_io store)) disk0 in
   Alcotest.(check bool) "query did real reads" true
-    (a.Vamana.Engine.attr_io.Storage.Stats.logical_reads > 0);
+    (a.E.io.Storage.Stats.logical_reads > 0);
   Alcotest.(check int) "logical reads sum to the global delta"
-    g.Storage.Stats.logical_reads
-    a.Vamana.Engine.attr_io.Storage.Stats.logical_reads;
+    g.Storage.Stats.logical_reads a.E.io.Storage.Stats.logical_reads;
   Alcotest.(check int) "physical reads sum to the global delta"
-    g.Storage.Stats.physical_reads
-    a.Vamana.Engine.attr_io.Storage.Stats.physical_reads;
-  Alcotest.(check int) "wal bytes attributed" dd.Storage.Disk.wal_bytes_written
-    a.Vamana.Engine.attr_wal_bytes;
-  Alcotest.(check int) "fsyncs attributed" dd.Storage.Disk.fsyncs
-    a.Vamana.Engine.attr_fsyncs;
-  (* the slow log cites the same run *)
+    g.Storage.Stats.physical_reads a.E.io.Storage.Stats.physical_reads;
+  Alcotest.(check int) "wal bytes attributed" dd.Storage.Disk.wal_bytes_written a.E.wal_bytes;
+  Alcotest.(check int) "fsyncs attributed" dd.Storage.Disk.fsyncs a.E.fsyncs;
+  Alcotest.(check int) "outcome result count" 3
+    (List.length outcome.Service.result.E.keys);
+  Alcotest.(check int) "record result count" 3 a.E.results;
+  (* the slow log keeps the same record *)
   (match Service.slow_queries service with
-  | [ sq ] ->
-      Alcotest.(check int) "slow log carries the qid"
-        a.Vamana.Engine.attr_qid sq.Service.sq_qid;
-      Alcotest.(check int) "slow log reads match attribution"
-        a.Vamana.Engine.attr_io.Storage.Stats.logical_reads
-        sq.Service.sq_io.Storage.Stats.logical_reads;
-      Alcotest.(check int) "slow log wal bytes match"
-        a.Vamana.Engine.attr_wal_bytes sq.Service.sq_wal_bytes
+  | [ (_, sq) ] ->
+      Alcotest.(check int) "slow log qid" a.E.qid sq.E.qid;
+      Alcotest.(check int) "slow log pages_read" a.E.io.Storage.Stats.logical_reads
+        sq.E.io.Storage.Stats.logical_reads;
+      Alcotest.(check int) "slow log physical_reads" a.E.io.Storage.Stats.physical_reads
+        sq.E.io.Storage.Stats.physical_reads;
+      Alcotest.(check int) "slow log wal_bytes" a.E.wal_bytes sq.E.wal_bytes;
+      Alcotest.(check int) "slow log fsyncs" a.E.fsyncs sq.E.fsyncs;
+      Alcotest.(check int) "slow log results" a.E.results sq.E.results;
+      Alcotest.(check (float 0.0)) "slow log latency" a.E.latency sq.E.latency
   | sqs -> Alcotest.failf "expected 1 slow query, got %d" (List.length sqs));
+  (* the service/query bus event (it carries no physical_reads) *)
+  (match
+     List.filter
+       (fun e -> e.Obs.category = "service" && e.Obs.name = "query")
+       (Obs.drain ())
+   with
+  | [ e ] ->
+      let attr k = List.assoc_opt k e.Obs.attrs in
+      Alcotest.(check bool) "bus qid" true (attr "qid" = Some (Obs.Int a.E.qid));
+      Alcotest.(check bool) "bus pages_read" true
+        (attr "pages_read" = Some (Obs.Int a.E.io.Storage.Stats.logical_reads));
+      Alcotest.(check bool) "bus wal_bytes" true (attr "wal_bytes" = Some (Obs.Int a.E.wal_bytes));
+      Alcotest.(check bool) "bus fsyncs" true (attr "fsyncs" = Some (Obs.Int a.E.fsyncs));
+      Alcotest.(check bool) "bus results" true (attr "results" = Some (Obs.Int a.E.results));
+      Alcotest.(check bool) "bus latency" true
+        (attr "total_ms" = Some (Obs.Float (a.E.latency *. 1000.)))
+  | es -> Alcotest.failf "expected 1 service/query event, got %d" (List.length es));
+  (* the Metrics query histogram observed exactly the record's latency *)
+  (match Metrics.histogram (Service.metrics service) "query" with
+  | Some h ->
+      Alcotest.(check int) "one query observed" 1 (Storage.Stats.Histogram.count h);
+      Alcotest.(check (float 0.0)) "histogram latency" a.E.latency
+        (Storage.Stats.Histogram.sum h)
+  | None -> Alcotest.fail "no query histogram");
   (* and so does the flight record *)
   Flight.close flight;
   (match
@@ -478,13 +508,17 @@ let test_attribution_sum_consistency () =
        (Flight.read_dir ~dir)
    with
   | [ e ] ->
-      Alcotest.(check int) "flight record carries the qid"
-        a.Vamana.Engine.attr_qid e.Flight.qid;
-      Alcotest.(check int) "flight pages_read matches attribution"
-        a.Vamana.Engine.attr_io.Storage.Stats.logical_reads e.Flight.pages_read;
-      Alcotest.(check string) "flight keeps the query text" "//b"
-        e.Flight.source;
-      Alcotest.(check int) "flight result count" 3 e.Flight.results
+      Alcotest.(check int) "flight qid" a.E.qid e.Flight.qid;
+      Alcotest.(check int) "flight pages_read" a.E.io.Storage.Stats.logical_reads
+        e.Flight.pages_read;
+      Alcotest.(check int) "flight physical_reads" a.E.io.Storage.Stats.physical_reads
+        e.Flight.physical_reads;
+      Alcotest.(check int) "flight wal_bytes" a.E.wal_bytes e.Flight.wal_bytes;
+      Alcotest.(check int) "flight fsyncs" a.E.fsyncs e.Flight.fsyncs;
+      Alcotest.(check int) "flight results" a.E.results e.Flight.results;
+      Alcotest.(check int) "flight latency" (int_of_float (a.E.latency *. 1e6))
+        e.Flight.latency_us;
+      Alcotest.(check string) "flight keeps the query text" "//b" e.Flight.source
   | es -> Alcotest.failf "expected 1 flight end record, got %d" (List.length es));
   Store.close store
 

@@ -79,7 +79,7 @@ let corpus =
 
 let run_nav store ~context src =
   match Xpath.Parser.parse src with
-  | Xpath.Ast.Path p -> Nav.E.eval_path store ~context p
+  | Xpath.Ast.Path p -> Mass.Nav.E.eval_path store ~context p
   | _ -> Alcotest.fail ("not a path: " ^ src)
 
 let keys_to_string keys = String.concat "," (List.map Flex.to_string keys)
@@ -328,7 +328,7 @@ let test_engine_timings_and_io () =
   let store, doc = setup () in
   match Engine.query store ~context:doc.Store.doc_key "//person/address" with
   | Ok r ->
-      Alcotest.(check bool) "io recorded" true (r.Engine.io.Storage.Stats.logical_reads > 0);
+      Alcotest.(check bool) "io recorded" true (r.Engine.record.Engine.exec_io.Storage.Stats.logical_reads > 0);
       Alcotest.(check bool) "optimizer ran" true (r.Engine.optimizer <> None);
       Alcotest.(check bool) "times nonnegative" true
         (r.Engine.compile_time >= 0.0 && r.Engine.optimize_time >= 0.0
