@@ -209,6 +209,39 @@ let print_figure sizeds (label, query) =
 
 (* ---- cost figures (6 and 7) ---- *)
 
+(* The paper's figures annotate plans with the pure Table I model: live
+   index counts, no synopsis refinement, no typecheck gate.  So this
+   renders one location path through Compile/Cost/Optimizer/Analysis
+   directly rather than through [Engine.explain], which shows what the
+   engine's synopsis-costed [prepare] executes. *)
+let table_one_explain store doc q =
+  match Vamana.Compile.compile_query q with
+  | Error e -> Printf.printf "error: %s\n" e
+  | Ok default_plan ->
+      let module A = Vamana.Analysis in
+      let module O = Vamana.Optimizer in
+      let scope = Some doc.Store.doc_key in
+      let a0 = A.analyze store ~scope default_plan in
+      Format.printf "Default plan:@.%a@."
+        (A.pp_annotated ~costed:(Vamana.Cost.estimate store ~scope default_plan) a0)
+        default_plan;
+      let o = O.optimize store ~scope default_plan in
+      List.iter
+        (fun (t : O.trace_entry) ->
+          Format.printf "applied %s at %s: cost %d -> %d@." t.O.rule t.O.target t.O.cost_before
+            t.O.cost_after)
+        o.O.trace;
+      let a1 = A.analyze store ~scope o.O.plan in
+      Format.printf "Optimized plan (%d iterations):@.%a@." o.O.iterations
+        (A.pp_annotated ~costed:o.O.cost a1) o.O.plan;
+      if A.statically_empty a1 then Format.printf "Statically empty: execution will be skipped@.";
+      Format.printf "Footprint: %s@." (Vamana.Footprint.to_string (Vamana.Footprint.of_plan o.O.plan));
+      match a1.A.diagnostics with
+      | [] -> ()
+      | ds ->
+          Format.printf "Diagnostics:@.";
+          List.iter (fun d -> Format.printf "  %s@." (A.diagnostic_to_string d)) ds
+
 let print_cost () =
   Printf.printf "\n== Figures 6 & 7: cost annotations on the 10 MB document ==\n";
   let store = Store.create ~pool_pages:65536 () in
@@ -221,9 +254,7 @@ let print_cost () =
   List.iter
     (fun (fig, q) ->
       Printf.printf "-- %s --\nQuery: %s\n" fig q;
-      match Vamana.Engine.explain store doc q with
-      | Ok text -> print_string text
-      | Error e -> Printf.printf "error: %s\n" e)
+      table_one_explain store doc q)
     [ ("Figure 6 (running example Q1)", "descendant::name/parent::*/self::person/address");
       ("Figure 7 (running example Q2)",
        "//name[text()='Yung Flach']/following-sibling::emailaddress") ]
@@ -237,9 +268,7 @@ let print_opt () =
   List.iter
     (fun (what, q) ->
       Printf.printf "\n-- %s --\nQuery: %s\n" what q;
-      match Vamana.Engine.explain store doc q with
-      | Ok text -> print_string text
-      | Error e -> Printf.printf "error: %s\n" e)
+      table_one_explain store doc q)
     [ ("Figures 5+8+11: clean-up, reverse-axis elimination, push-down",
        "descendant::name/parent::*/self::person/address");
       ("Figure 9: value-index rewrite",

@@ -1,19 +1,26 @@
 (* vamana — command-line front end for the VAMANA XPath engine.
 
-     vamana query   [-f doc.xml | -x MB] [--no-optimize] [-v] QUERY
-     vamana explain [-f doc.xml | -x MB] QUERY
-     vamana lint    [-f doc.xml | -x MB] [--json] [-q queries.txt | QUERY]
-     vamana prove   [--depth D --fanout F --tags K --texts T --max-nodes N --steps S]
-                    [--random N --seed S] [--json] [--mutant NAME] [--replay FILE]
-     vamana synopsis [-f doc.xml | -x MB] [--json | --check]
-     vamana stats   [-f doc.xml | -x MB] [--tags N]
-     vamana generate -x MB [-o out.xml]
-     vamana serve   [-f doc.xml | -x MB | -s SNAP] [-q queries.txt]
-                    [--repeat N] [--json] [--slow-ms MS] ...
-     vamana events  [-f doc.xml | -x MB | -s SNAP] [-q queries.txt]
-                    [--json] [--follow] [--sample CAT=N] [--ring N]
-     vamana trace   [-f doc.xml | -x MB | -s SNAP] [-q queries.txt] [-o trace.json]
-     vamana report  -d DIR [--top N]  *)
+   Inputs: -f doc.xml | -x MB (generated XMark) | -s SNAP, optionally on a
+   durable store with -d DIR.  Batch verbs read -q FILE or stdin, one
+   XPath per line ('#' starts a comment).
+
+     vamana query    [input] [--no-optimize] [-v] QUERY
+     vamana xquery   [input] QUERY
+     vamana explain  [input] [--analyze [--json]] [--no-optimize] QUERY
+     vamana lint     [input] [--json] [-q queries.txt | QUERY]
+     vamana prove    [--depth D --fanout F --tags K --texts T --max-nodes N --steps S]
+                     [--random N --seed S] [--json] [--mutant NAME] [--replay FILE]
+     vamana synopsis [input] [--json | --check]
+     vamana stats    [input] [--tags N] [--openmetrics]
+     vamana generate -x MB [-o out.xml] [--seed N]
+     vamana snapshot save [input] -o SNAP  |  vamana snapshot load SNAP -d DIR
+     vamana churn    -d DIR [--iters N] [--report N]
+     vamana fsck     -d DIR [-q queries.txt]
+     vamana serve    [input] [-q queries.txt] [--repeat N] [--json] [--slow-ms MS]
+                     [--trace-out FILE] [--metrics-out FILE] ...
+     vamana health   [input] [-q queries.txt] [--repeat N] [--churn N] [--json] ...
+     vamana events   [input] [-q queries.txt] [--json] [--follow] [--sample CAT=N] [--ring N]
+     vamana report   -d DIR [--top N]  *)
 
 open Cmdliner
 module Store = Mass.Store
@@ -322,30 +329,58 @@ let xquery_cmd =
   Cmd.v (Cmd.info "xquery" ~doc:"Run an XQuery-lite FLWOR query")
     Term.(const run_xquery $ file_arg $ xmark_arg $ snapshot_arg $ data_dir_arg $ query_arg)
 
-(* ---- serve: batch query service with caches and metrics ---- *)
+(* ---- query batches ---- *)
+
+let queries_arg =
+  Arg.(value & opt (some file) None
+       & info [ "q"; "queries" ] ~docv:"FILE"
+           ~doc:"Query batch, one XPath per line ('#' starts a comment). Default: stdin.")
 
 let read_queries = function
-  | Some path ->
-      let ic = open_in path in
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file ->
-            close_in ic;
-            List.rev acc
-      in
-      go []
-  | None ->
-      let rec go acc =
-        match input_line stdin with
-        | line -> go (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go []
+  | Some path -> In_channel.with_open_text path In_channel.input_all |> String.split_on_char '\n'
+  | None -> In_channel.input_all stdin |> String.split_on_char '\n'
 
 let is_query line =
   let line = String.trim line in
   String.length line > 0 && line.[0] <> '#'
+
+(* the batch's queries; an empty batch is an error *)
+let read_batch queries_file =
+  match List.filter is_query (read_queries queries_file) with
+  | [] ->
+      Printf.eprintf "no queries (one XPath per line; '#' comments)\n";
+      exit 1
+  | queries -> queries
+
+(* The one query-batch loop (serve, health, events): [rounds] passes over
+   the batch through [service].  Every failure, evaluator exceptions
+   included, is contained and reported on stderr, so the batch always
+   reaches [report] (which gets the batch); the process then exits 1 if
+   any query failed. *)
+let run_batch ?(start_round = ignore) ?(end_round = ignore) ?(on_ok = fun _ _ -> ()) ~rounds
+    ~report service ~context queries_file =
+  let queries = read_batch queries_file in
+  let failures = ref 0 in
+  let fail q msg =
+    incr failures;
+    Printf.eprintf "%-44s error: %s\n" q msg
+  in
+  for round = 1 to rounds do
+    start_round round;
+    List.iter
+      (fun q ->
+        match Vamana_service.Service.query service ~context q with
+        | Ok o -> on_ok q o
+        | Error msg -> fail q msg
+        | exception e -> fail q (Printexc.to_string e))
+      queries;
+    end_round round
+  done;
+  report queries;
+  if !failures > 0 then begin
+    Printf.eprintf "%d of %d queries failed\n" !failures (List.length queries * rounds);
+    exit 1
+  end
 
 (* snapshot files (OpenMetrics, traces) are rewritten whole: temp +
    rename so a scraper never reads a half-written exposition *)
@@ -359,15 +394,7 @@ let write_atomic path content =
 let run_lint file xmark_mb snapshot data_dir no_optimize json queries_file query =
   handle_parse_errors @@ fun () ->
   let store, doc = input_doc file xmark_mb snapshot data_dir in
-  let queries =
-    match query with
-    | Some q -> [ q ]
-    | None -> List.filter is_query (read_queries queries_file)
-  in
-  if queries = [] then begin
-    Printf.eprintf "no queries (pass one as an argument, or -q FILE / stdin, one per line)\n";
-    exit 1
-  end;
+  let queries = match query with Some q -> [ q ] | None -> read_batch queries_file in
   let scope = Some doc.Store.doc_key in
   let errors = ref 0 and warnings = ref 0 in
   let module A = Vamana.Analysis in
@@ -505,99 +532,18 @@ let lint_cmd =
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit diagnostics as a single JSON document.")
   in
-  let queries_arg =
-    Arg.(value & opt (some file) None
-         & info [ "q"; "queries" ] ~docv:"FILE"
-             ~doc:"Query batch, one XPath per line ('#' starts a comment). Default: stdin \
-                   when no QUERY argument is given.")
-  in
   let query_opt_arg =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc:"XPath expression.")
   in
   Cmd.v
     (Cmd.info "lint"
        ~doc:"Statically analyze query plans: inferred stream properties (order, \
-             duplicate-freedom, cardinality bounds, static emptiness) and severity-ranked \
-             diagnostics, without executing anything. Exits non-zero on error-severity \
-             diagnostics.")
+             duplicate-freedom, cardinality bounds, static emptiness), severity-ranked \
+             diagnostics and the read footprint (the tags, node kinds, value keys and \
+             string-value cones the plan can touch; ⊤ when unbounded), without executing \
+             anything. Exits non-zero on error-severity diagnostics.")
     Term.(const run_lint $ file_arg $ xmark_arg $ snapshot_arg $ data_dir_arg $ no_optimize_arg $ json_arg
           $ queries_arg $ query_opt_arg)
-
-(* ---- footprint: static read footprints of compiled plans ---- *)
-
-let run_footprint file xmark_mb snapshot data_dir no_optimize json queries_file query =
-  handle_parse_errors @@ fun () ->
-  let store, doc = input_doc file xmark_mb snapshot data_dir in
-  let queries =
-    match query with
-    | Some q -> [ q ]
-    | None -> List.filter is_query (read_queries queries_file)
-  in
-  if queries = [] then begin
-    Printf.eprintf "no queries (pass one as an argument, or -q FILE / stdin, one per line)\n";
-    exit 1
-  end;
-  let scope = Some doc.Store.doc_key in
-  let module F = Vamana.Footprint in
-  let module J = Vamana.Profile.Json in
-  let errors = ref 0 in
-  let results =
-    List.map
-      (fun q ->
-        match Vamana.Engine.prepare ~optimize:(not no_optimize) store ~scope q with
-        | Error msg ->
-            incr errors;
-            (q, Error msg)
-        | Ok p -> (q, Ok p.Vamana.Engine.prep_footprint))
-      queries
-  in
-  (if json then
-     let rows =
-       List.map
-         (fun (q, r) ->
-           match r with
-           | Error msg -> J.Obj [ ("query", J.Str q); ("error", J.Str msg) ]
-           | Ok fp ->
-               J.Obj
-                 [ ("query", J.Str q);
-                   ("footprint", F.to_json fp);
-                   ("top", J.Bool (F.is_top fp)) ])
-         results
-     in
-     print_endline
-       (J.to_string (J.Obj [ ("queries", J.Arr rows); ("errors", J.Int !errors) ]))
-   else
-     List.iter
-       (fun (q, r) ->
-         match r with
-         | Error msg -> Printf.printf "%s\n  error %s\n" q msg
-         | Ok fp -> Printf.printf "%s\n  %s\n" q (F.to_string fp))
-       results);
-  if !errors > 0 then exit 1
-
-let footprint_cmd =
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit footprints as a single JSON document.")
-  in
-  let queries_arg =
-    Arg.(value & opt (some file) None
-         & info [ "q"; "queries" ] ~docv:"FILE"
-             ~doc:"Query batch, one XPath per line ('#' starts a comment). Default: stdin \
-                   when no QUERY argument is given.")
-  in
-  let query_opt_arg =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc:"XPath expression.")
-  in
-  Cmd.v
-    (Cmd.info "footprint"
-       ~doc:"Compute the static read footprint of each query's prepared plan — the tag \
-             tests, node-kind classes, value-index keys and string-value cones it can \
-             touch. A store update whose write delta is disjoint from the footprint \
-             provably leaves the query's result unchanged; this is the evidence the \
-             service's result cache uses to keep entries across mutations. ⊤ means the \
-             analysis could not bound the reads (e.g. a variable or unknown function).")
-    Term.(const run_footprint $ file_arg $ xmark_arg $ snapshot_arg $ data_dir_arg
-          $ no_optimize_arg $ json_arg $ queries_arg $ query_opt_arg)
 
 (* ---- synopsis: dump or verify the path synopsis ---- *)
 
@@ -673,11 +619,6 @@ let run_serve file xmark_mb snapshot data_dir queries_file repeat no_optimize pl
       ~slow_threshold:(if slow_ms > 0. then slow_ms /. 1000. else infinity)
       ~sample_every ~drift_threshold ?flight store
   in
-  let queries = List.filter is_query (read_queries queries_file) in
-  if queries = [] then begin
-    Printf.eprintf "no queries (one XPath per line; '#' comments)\n";
-    exit 1
-  end;
   let trace_events = ref [] in
   let trace_sink =
     Option.map
@@ -686,7 +627,25 @@ let run_serve file xmark_mb snapshot data_dir queries_file repeat no_optimize pl
         Obs.attach_sink (fun e -> trace_events := e :: !trace_events))
       trace_out
   in
-  let write_metrics () =
+  let rounds = max 1 repeat in
+  let start_round round =
+    if not quiet then begin
+      if round = 1 then
+        Printf.printf "%-44s %8s %10s %6s %6s\n" "query" "results" "ms" "plan" "result";
+      if rounds > 1 then Printf.printf "-- round %d --\n" round
+    end
+  in
+  let on_ok q (o : Vamana_service.Service.outcome) =
+    if not quiet then
+      Printf.printf "%-44s %8d %10.3f %6s %6s\n" q
+        (List.length o.Vamana_service.Service.result.Vamana.Engine.keys)
+        (o.Vamana_service.Service.record.Vamana.Engine.latency *. 1000.)
+        (Vamana_service.Service.cache_cell o.Vamana_service.Service.plan_cache)
+        (Vamana_service.Service.cache_cell o.Vamana_service.Service.result_cache)
+  in
+  (* rewrite the scrape file after every round so a long-running batch
+     exposes fresh counters, not just a final post-mortem *)
+  let end_round _ =
     Option.iter
       (fun path ->
         write_atomic path
@@ -697,67 +656,29 @@ let run_serve file xmark_mb snapshot data_dir queries_file repeat no_optimize pl
              store))
       metrics_out
   in
-  if not quiet then
-    Printf.printf "%-44s %8s %10s %6s %6s\n" "query" "results" "ms" "plan" "result";
-  let failures = ref 0 in
-  (* the final snapshot must appear even when queries in the batch fail
-     (including evaluator exceptions), so every failure is contained here *)
-  for round = 1 to max 1 repeat do
-    if (not quiet) && repeat > 1 then Printf.printf "-- round %d --\n" round;
-    List.iter
-      (fun q ->
-        let outcome =
-          match Vamana_service.Service.query service ~context:doc.Store.doc_key q with
-          | o -> o
-          | exception e -> Error (Printexc.to_string e)
-        in
-        match outcome with
-        | Ok o ->
-            if not quiet then
-              Printf.printf "%-44s %8d %10.3f %6s %6s\n" q
-                (List.length o.Vamana_service.Service.result.Vamana.Engine.keys)
-                (o.Vamana_service.Service.record.Vamana.Engine.latency *. 1000.)
-                (Vamana_service.Service.cache_cell o.Vamana_service.Service.plan_cache)
-                (Vamana_service.Service.cache_cell o.Vamana_service.Service.result_cache)
-        | Error msg ->
-            incr failures;
-            Printf.eprintf "%-44s error: %s\n" q msg)
-      queries;
-    (* rewrite the scrape file after every round so a long-running batch
-       exposes fresh counters, not just a final post-mortem *)
-    write_metrics ()
-  done;
-  (match trace_sink with
-  | None -> ()
-  | Some s ->
-      Obs.detach_sink s;
-      let path = Option.get trace_out in
-      write_atomic path (Obs.Trace.to_chrome (List.rev !trace_events));
-      Printf.eprintf "wrote %d trace events to %s\n" (List.length !trace_events) path);
-  Option.iter Storage.Flight.close flight;
-  (if slow_ms > 0. && not json then begin
-     let slow = Vamana_service.Service.slow_queries service in
-     Printf.printf "\n== slow queries (>= %.1f ms; %d logged) ==\n" slow_ms (List.length slow);
-     if slow <> [] then print_endline Vamana_service.Service.slow_log_header;
-     List.iter (fun (_, r) -> print_endline (Vamana_service.Service.slow_log_row r)) slow
-   end);
-  let snapshot_out =
-    if json then Vamana_service.Service.snapshot_json service
-    else "\n== metrics snapshot ==\n" ^ Vamana_service.Service.snapshot_text service
+  (* the final snapshot appears even when queries in the batch fail *)
+  let report _ =
+    (match trace_sink with
+    | None -> ()
+    | Some s ->
+        Obs.detach_sink s;
+        let path = Option.get trace_out in
+        write_atomic path (Obs.Trace.to_chrome (List.rev !trace_events));
+        Printf.eprintf "wrote %d trace events to %s\n" (List.length !trace_events) path);
+    Option.iter Storage.Flight.close flight;
+    (if slow_ms > 0. && not json then begin
+       let slow = Vamana_service.Service.slow_queries service in
+       Printf.printf "\n== slow queries (>= %.1f ms; %d logged) ==\n" slow_ms (List.length slow);
+       if slow <> [] then print_endline Vamana_service.Service.slow_log_header;
+       List.iter (fun (_, r) -> print_endline (Vamana_service.Service.slow_log_row r)) slow
+     end);
+    if json then print_endline (Vamana_service.Service.snapshot_json service)
+    else print_string ("\n== metrics snapshot ==\n" ^ Vamana_service.Service.snapshot_text service)
   in
-  print_string snapshot_out;
-  if json then print_newline ();
-  if !failures > 0 then begin
-    Printf.eprintf "%d of %d queries failed\n" !failures (List.length queries * max 1 repeat);
-    exit 1
-  end
+  run_batch ~start_round ~on_ok ~end_round ~rounds ~report service ~context:doc.Store.doc_key
+    queries_file
 
 let serve_cmd =
-  let queries_arg =
-    Arg.(value & opt (some file) None
-         & info [ "q"; "queries" ] ~docv:"FILE"
-             ~doc:"Query batch, one XPath per line ('#' starts a comment). Default: stdin.")
-  in
   let repeat_arg =
     Arg.(value & opt int 1
          & info [ "r"; "repeat" ] ~docv:"N" ~doc:"Run the batch N times (warms the caches).")
@@ -818,11 +739,6 @@ let run_health file xmark_mb snapshot data_dir queries_file repeat churn churn_x
   let service =
     Vamana_service.Service.create ~sample_every ~drift_threshold store
   in
-  let queries = List.filter is_query (read_queries queries_file) in
-  if queries = [] then begin
-    Printf.eprintf "no queries (one XPath per line; '#' comments)\n";
-    exit 1
-  end;
   (* churn inserts land under an XPath-selected parent, so the skew hits
      exactly the statistics the batch's plans were costed against *)
   let churn_parent =
@@ -837,21 +753,9 @@ let run_health file xmark_mb snapshot data_dir queries_file repeat churn churn_x
           Printf.eprintf "--churn-xpath %s: %s\n" churn_xpath msg;
           exit 1
   in
-  let failures = ref 0 in
   let inserted = ref 0 in
   let rounds = max 1 repeat in
-  for round = 1 to rounds do
-    List.iter
-      (fun q ->
-        match Vamana_service.Service.query service ~context:doc.Store.doc_key q with
-        | Ok _ -> ()
-        | Error msg ->
-            incr failures;
-            Printf.eprintf "%s error: %s\n" q msg
-        | exception e ->
-            incr failures;
-            Printf.eprintf "%s error: %s\n" q (Printexc.to_string e))
-      queries;
+  let end_round round =
     match churn_parent with
     | Some parent when round < rounds ->
         for _ = 1 to churn do
@@ -862,52 +766,46 @@ let run_health file xmark_mb snapshot data_dir queries_file repeat churn churn_x
                (Some (Printf.sprintf "health-%d" !inserted)))
         done
     | _ -> ()
-  done;
-  let health = Vamana_service.Service.health service in
-  if json then
-    print_endline (Vamana.Profile.Json.to_string (Vamana_service.Health.to_json health))
-  else begin
-    let m = Vamana_service.Service.metrics service in
-    let clip s n = if String.length s > n then String.sub s 0 (n - 3) ^ "..." else s in
-    if not quiet then begin
-      Printf.printf "rounds %d  queries %d  churn inserts %d  store epoch %d\n" rounds
-        (List.length queries) !inserted (Store.epoch store);
-      Printf.printf "sampled executions %d  drift events %d  adaptive replans %d\n\n"
-        (Vamana_service.Metrics.counter m "sampled_executions")
-        (Vamana_service.Metrics.counter m "plan_drift_events")
-        (Vamana_service.Metrics.counter m "adaptive_replans")
-    end;
-    Printf.printf "%-40s %6s %7s %7s %6s %7s %7s %8s  %s\n" "query" "execs" "samples" "drift"
-      "stale" "replans" "epoch" "max_q" "worst op";
-    List.iter
-      (fun (r : Vamana_service.Health.record) ->
-        let last_q, worst =
-          match List.rev (Vamana_service.Health.samples r) with
-          | s :: _ ->
-              (Printf.sprintf "%8.2f" s.Vamana_service.Health.s_max_q,
-               s.Vamana_service.Health.s_worst_op)
-          | [] -> ("       -", "-")
-        in
-        Printf.printf "%-40s %6d %7d %7.3f %6s %7d %7d %s  %s\n"
-          (clip r.Vamana_service.Health.hr_query 40)
-          r.Vamana_service.Health.hr_executions r.Vamana_service.Health.hr_sampled
-          r.Vamana_service.Health.hr_drift
-          (if r.Vamana_service.Health.hr_stale then "yes" else "no")
-          r.Vamana_service.Health.hr_replans r.Vamana_service.Health.hr_last_epoch last_q
-          (clip worst 32))
-      (Vamana_service.Health.records health)
-  end;
-  if !failures > 0 then begin
-    Printf.eprintf "%d of %d queries failed\n" !failures (List.length queries * rounds);
-    exit 1
-  end
+  in
+  let report queries =
+    let health = Vamana_service.Service.health service in
+    if json then
+      print_endline (Vamana.Profile.Json.to_string (Vamana_service.Health.to_json health))
+    else begin
+      let m = Vamana_service.Service.metrics service in
+      let clip s n = if String.length s > n then String.sub s 0 (n - 3) ^ "..." else s in
+      if not quiet then begin
+        Printf.printf "rounds %d  queries %d  churn inserts %d  store epoch %d\n" rounds
+          (List.length queries) !inserted (Store.epoch store);
+        Printf.printf "sampled executions %d  drift events %d  adaptive replans %d\n\n"
+          (Vamana_service.Metrics.counter m "sampled_executions")
+          (Vamana_service.Metrics.counter m "plan_drift_events")
+          (Vamana_service.Metrics.counter m "adaptive_replans")
+      end;
+      Printf.printf "%-40s %6s %7s %7s %6s %7s %7s %8s  %s\n" "query" "execs" "samples" "drift"
+        "stale" "replans" "epoch" "max_q" "worst op";
+      List.iter
+        (fun (r : Vamana_service.Health.record) ->
+          let last_q, worst =
+            match List.rev (Vamana_service.Health.samples r) with
+            | s :: _ ->
+                (Printf.sprintf "%8.2f" s.Vamana_service.Health.s_max_q,
+                 s.Vamana_service.Health.s_worst_op)
+            | [] -> ("       -", "-")
+          in
+          Printf.printf "%-40s %6d %7d %7.3f %6s %7d %7d %s  %s\n"
+            (clip r.Vamana_service.Health.hr_query 40)
+            r.Vamana_service.Health.hr_executions r.Vamana_service.Health.hr_sampled
+            r.Vamana_service.Health.hr_drift
+            (if r.Vamana_service.Health.hr_stale then "yes" else "no")
+            r.Vamana_service.Health.hr_replans r.Vamana_service.Health.hr_last_epoch last_q
+            (clip worst 32))
+        (Vamana_service.Health.records health)
+    end
+  in
+  run_batch ~end_round ~rounds ~report service ~context:doc.Store.doc_key queries_file
 
 let health_cmd =
-  let queries_arg =
-    Arg.(value & opt (some file) None
-         & info [ "q"; "queries" ] ~docv:"FILE"
-             ~doc:"Query batch, one XPath per line ('#' starts a comment). Default: stdin.")
-  in
   let repeat_arg =
     Arg.(value & opt int 8
          & info [ "r"; "repeat" ] ~docv:"N"
@@ -968,73 +866,37 @@ let run_events file xmark_mb snapshot data_dir queries_file repeat no_optimize j
          else Vamana_service.Service.default_slow_threshold)
       store
   in
-  let queries = List.filter is_query (read_queries queries_file) in
-  if queries = [] then begin
-    Printf.eprintf "no queries (one XPath per line; '#' comments)\n";
-    exit 1
-  end;
   Obs.reset ();
   List.iter (fun (cat, n) -> Obs.set_sample_rate cat n) samples;
   let render = if json then Obs.to_json_string else Obs.to_text in
   (* --follow streams through a live sink; otherwise events collect in
      the ring and are drained once the batch is done *)
-  let sink =
-    if follow then Some (Obs.attach_sink (fun e -> print_endline (render e)))
-    else begin
-      Obs.attach_ring ~capacity:ring_cap ();
-      None
-    end
+  if follow then ignore (Obs.attach_sink (fun e -> print_endline (render e)))
+  else Obs.attach_ring ~capacity:ring_cap ();
+  let report _ =
+    let drained =
+      if follow then None
+      else
+        let events = Obs.drain () in
+        let overwritten = Obs.dropped () in
+        List.iter (fun e -> print_endline (render e)) events;
+        Some (List.length events, overwritten)
+    in
+    let sampled = Obs.sampled_out () in
+    Obs.reset ();
+    match drained with
+    | Some (n, overwritten) ->
+        Printf.eprintf "-- %d events drained (%d overwritten, %d sampled out)\n" n overwritten
+          sampled
+    | None -> Printf.eprintf "-- follow finished (%d events sampled out)\n" sampled
   in
-  let failures = ref 0 in
-  let drained = ref None in
-  let overwritten = ref 0 in
   (* the bus is process-global: even when the batch dies mid-run the
-     sink (or ring) must come off, or every later emitter in this
-     process keeps paying for a subscriber nobody drains *)
-  Fun.protect
-    ~finally:(fun () ->
-      match sink with Some s -> Obs.detach_sink s | None -> Obs.detach_ring ())
-    (fun () ->
-      for _round = 1 to max 1 repeat do
-        List.iter
-          (fun q ->
-            match Vamana_service.Service.query service ~context:doc.Store.doc_key q with
-            | Ok _ -> ()
-            | Error msg ->
-                incr failures;
-                Printf.eprintf "%s error: %s\n" q msg
-            | exception e ->
-                incr failures;
-                Printf.eprintf "%s error: %s\n" q (Printexc.to_string e))
-          queries
-      done;
-      match sink with
-      | Some _ -> ()
-      | None ->
-          let events = Obs.drain () in
-          overwritten := Obs.dropped ();
-          List.iter (fun e -> print_endline (render e)) events;
-          drained := Some (List.length events));
-  let drained = !drained in
-  let overwritten = !overwritten in
-  let sampled = Obs.sampled_out () in
-  Obs.reset ();
-  (match drained with
-  | Some n ->
-      Printf.eprintf "-- %d events drained (%d overwritten, %d sampled out)\n" n overwritten
-        sampled
-  | None -> Printf.eprintf "-- follow finished (%d events sampled out)\n" sampled);
-  if !failures > 0 then begin
-    Printf.eprintf "%d of %d queries failed\n" !failures (List.length queries * max 1 repeat);
-    exit 1
-  end
+     sink (or ring) must come off (reset detaches both), or every later
+     emitter in this process keeps paying for a subscriber nobody drains *)
+  Fun.protect ~finally:Obs.reset (fun () ->
+      run_batch ~rounds:(max 1 repeat) ~report service ~context:doc.Store.doc_key queries_file)
 
 let events_cmd =
-  let queries_arg =
-    Arg.(value & opt (some file) None
-         & info [ "q"; "queries" ] ~docv:"FILE"
-             ~doc:"Query batch, one XPath per line ('#' starts a comment). Default: stdin.")
-  in
   let repeat_arg =
     Arg.(value & opt int 1 & info [ "r"; "repeat" ] ~docv:"N" ~doc:"Run the batch N times.")
   in
@@ -1064,77 +926,6 @@ let events_cmd =
        ~doc:"Run a query batch with the telemetry bus attached and print its events")
     Term.(const run_events $ file_arg $ xmark_arg $ snapshot_arg $ data_dir_arg $ queries_arg $ repeat_arg
           $ no_optimize_arg $ json_arg $ follow_arg $ slow_ms_arg $ sample_arg $ ring_arg)
-
-(* ---- trace: run a batch and export a Chrome trace_event file ---- *)
-
-let run_trace file xmark_mb snapshot data_dir queries_file repeat no_optimize output samples =
-  handle_parse_errors @@ fun () ->
-  let store, doc = input_doc file xmark_mb snapshot data_dir in
-  let service = Vamana_service.Service.create ~optimize:(not no_optimize) store in
-  let queries = List.filter is_query (read_queries queries_file) in
-  if queries = [] then begin
-    Printf.eprintf "no queries (one XPath per line; '#' comments)\n";
-    exit 1
-  end;
-  Obs.reset ();
-  List.iter (fun (cat, n) -> Obs.set_sample_rate cat n) samples;
-  let events = ref [] in
-  let sink = Obs.attach_sink (fun e -> events := e :: !events) in
-  let failures = ref 0 in
-  Fun.protect
-    ~finally:(fun () -> Obs.detach_sink sink)
-    (fun () ->
-      for _round = 1 to max 1 repeat do
-        List.iter
-          (fun q ->
-            match Vamana_service.Service.query service ~context:doc.Store.doc_key q with
-            | Ok _ -> ()
-            | Error msg ->
-                incr failures;
-                Printf.eprintf "%s error: %s\n" q msg
-            | exception e ->
-                incr failures;
-                Printf.eprintf "%s error: %s\n" q (Printexc.to_string e))
-          queries
-      done);
-  Obs.reset ();
-  let trace = Obs.Trace.to_chrome (List.rev !events) in
-  (match output with
-  | Some path ->
-      write_atomic path trace;
-      Printf.eprintf "wrote %d trace events to %s (open in Perfetto / chrome://tracing)\n"
-        (List.length !events) path
-  | None -> print_endline trace);
-  if !failures > 0 then begin
-    Printf.eprintf "%d of %d queries failed\n" !failures (List.length queries * max 1 repeat);
-    exit 1
-  end
-
-let trace_cmd =
-  let queries_arg =
-    Arg.(value & opt (some file) None
-         & info [ "q"; "queries" ] ~docv:"FILE"
-             ~doc:"Query batch, one XPath per line ('#' starts a comment). Default: stdin.")
-  in
-  let repeat_arg =
-    Arg.(value & opt int 1 & info [ "r"; "repeat" ] ~docv:"N" ~doc:"Run the batch N times.")
-  in
-  let out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "output" ] ~docv:"FILE"
-             ~doc:"Trace file to write (default: stdout).")
-  in
-  let sample_arg =
-    Arg.(value & opt_all (pair ~sep:'=' string int) []
-         & info [ "sample" ] ~docv:"CATEGORY=N"
-             ~doc:"Keep one in N events of CATEGORY (repeatable).")
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Run a query batch with telemetry on and export it as Chrome trace_event JSON \
-             — open the file in Perfetto (ui.perfetto.dev) or chrome://tracing")
-    Term.(const run_trace $ file_arg $ xmark_arg $ snapshot_arg $ data_dir_arg $ queries_arg
-          $ repeat_arg $ no_optimize_arg $ out_arg $ sample_arg)
 
 (* ---- report: aggregate the flight recorder ---- *)
 
@@ -1596,4 +1387,4 @@ let prove_cmd =
 
 let () =
   let info = Cmd.info "vamana" ~version:"1.0.0" ~doc:"Cost-driven XPath engine over the MASS storage structure" in
-  exit (Cmd.eval (Cmd.group info [ query_cmd; xquery_cmd; explain_cmd; lint_cmd; footprint_cmd; prove_cmd; synopsis_cmd; stats_cmd; generate_cmd; snapshot_cmd; churn_cmd; fsck_cmd; serve_cmd; health_cmd; events_cmd; trace_cmd; report_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ query_cmd; xquery_cmd; explain_cmd; lint_cmd; prove_cmd; synopsis_cmd; stats_cmd; generate_cmd; snapshot_cmd; churn_cmd; fsck_cmd; serve_cmd; health_cmd; events_cmd; report_cmd ]))

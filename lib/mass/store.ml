@@ -256,61 +256,42 @@ let bulk_ingest t f =
           Storage.Disk.close d;
           raise e)
 
+(* The one place a store handle is built, from its three indexes.  Write
+   deltas are process-local: a fresh handle knows nothing about mutations
+   before [epoch], so delta coverage starts there. *)
+let make ?disk ?(docs = []) ?(next_doc_id = 0) ?(epoch = 0) ~order doc_index name_index
+    value_index =
+  { doc_index; name_index; value_index; docs; next_doc_id; epoch;
+    doc_epochs = Hashtbl.create 8; deltas = []; deltas_dropped_through = epoch; order; disk;
+    autocommit = true }
+
+(* index [name]'s pages live in the disk pool of the same name *)
+let file_pager disk name codec =
+  Storage.Pager.File { disk; pool = Storage.Disk.pool disk name; codec }
+
 let create ?pool_pages ?(order = 64) ?backend () =
   let backend = match backend with Some b -> b | None -> default_backend () in
-  match backend with
-  | Mem ->
-      {
-        doc_index = DocTree.create ~label:"doc_index" ~order ?pool_pages ();
-        name_index = TagTree.create ~label:"name_index" ~order ?pool_pages ();
-        value_index = TagTree.create ~label:"value_index" ~order ?pool_pages ();
-        docs = [];
-        next_doc_id = 0;
-        epoch = 0;
-        doc_epochs = Hashtbl.create 8;
-        deltas = [];
-        deltas_dropped_through = 0;
-        order;
-        disk = None;
-        autocommit = true;
-      }
-  | File { dir } ->
-      let disk = Storage.Disk.create ~dir in
-      let mk name codec =
-        Storage.Pager.File { disk; pool = Storage.Disk.pool disk name; codec }
-      in
-      let t =
-        {
-          doc_index =
-            DocTree.create ~label:"doc_index" ~order ?pool_pages
-              ~backend:(mk "doc_index" doc_node_codec) ();
-          name_index =
-            TagTree.create ~label:"name_index" ~order ?pool_pages
-              ~backend:(mk "name_index" tag_node_codec) ();
-          value_index =
-            TagTree.create ~label:"value_index" ~order ?pool_pages
-              ~backend:(mk "value_index" tag_node_codec) ();
-          docs = [];
-          next_doc_id = 0;
-          epoch = 0;
-          doc_epochs = Hashtbl.create 8;
-          deltas = [];
-          deltas_dropped_through = 0;
-          order;
-          disk = Some disk;
-          autocommit = true;
-        }
-      in
-      (* Checkpoint, not commit: the manifest [Disk.create] just wrote is
-         already at epoch 0 and recovery only replays WAL batches with a
-         strictly newer epoch, so a commit here would be dropped on
-         replay — a crash before the first checkpoint (including one mid
-         first bulk load, whose writes bypass the WAL) would then leave
-         a store without metadata that [open_file] refuses.  Writing the
-         metadata into the manifest itself makes the empty store
-         immediately reopenable on every crash path. *)
-      checkpoint t;
-      t
+  let disk = match backend with Mem -> None | File { dir } -> Some (Storage.Disk.create ~dir) in
+  let pager name codec = Option.map (fun d -> file_pager d name codec) disk in
+  let t =
+    make ?disk ~order
+      (DocTree.create ~label:"doc_index" ~order ?pool_pages
+         ?backend:(pager "doc_index" doc_node_codec) ())
+      (TagTree.create ~label:"name_index" ~order ?pool_pages
+         ?backend:(pager "name_index" tag_node_codec) ())
+      (TagTree.create ~label:"value_index" ~order ?pool_pages
+         ?backend:(pager "value_index" tag_node_codec) ())
+  in
+  (* Checkpoint, not commit: the manifest [Disk.create] just wrote is
+     already at epoch 0 and recovery only replays WAL batches with a
+     strictly newer epoch, so a commit here would be dropped on
+     replay — a crash before the first checkpoint (including one mid
+     first bulk load, whose writes bypass the WAL) would then leave
+     a store without metadata that [open_file] refuses.  Writing the
+     metadata into the manifest itself makes the empty store
+     immediately reopenable on every crash path. *)
+  if Option.is_some disk then checkpoint t;
+  t
 
 let open_file ?pool_pages ~dir () =
   let disk = Storage.Disk.open_dir ~dir in
@@ -353,31 +334,13 @@ let open_file ?pool_pages ~dir () =
     let doc_root = Storage.Binio.r_u64 r in
     let name_root = Storage.Binio.r_u64 r in
     let value_root = Storage.Binio.r_u64 r in
-    let mk name codec =
-      Storage.Pager.File { disk; pool = Storage.Disk.pool disk name; codec }
-    in
-    {
-      doc_index =
-        DocTree.open_existing ~label:"doc_index" ~order ?pool_pages
-          ~backend:(mk "doc_index" doc_node_codec) ~root:doc_root ();
-      name_index =
-        TagTree.open_existing ~label:"name_index" ~order ?pool_pages
-          ~backend:(mk "name_index" tag_node_codec) ~root:name_root ();
-      value_index =
-        TagTree.open_existing ~label:"value_index" ~order ?pool_pages
-          ~backend:(mk "value_index" tag_node_codec) ~root:value_root ();
-      docs;
-      next_doc_id;
-      epoch;
-      doc_epochs = Hashtbl.create 8;
-      (* deltas are process-local: a reopened store knows nothing about
-         mutations before the open, so coverage starts at this epoch *)
-      deltas = [];
-      deltas_dropped_through = epoch;
-      order;
-      disk = Some disk;
-      autocommit = true;
-    }
+    make ~disk ~docs ~next_doc_id ~epoch ~order
+      (DocTree.open_existing ~label:"doc_index" ~order ?pool_pages
+         ~backend:(file_pager disk "doc_index" doc_node_codec) ~root:doc_root ())
+      (TagTree.open_existing ~label:"name_index" ~order ?pool_pages
+         ~backend:(file_pager disk "name_index" tag_node_codec) ~root:name_root ())
+      (TagTree.open_existing ~label:"value_index" ~order ?pool_pages
+         ~backend:(file_pager disk "value_index" tag_node_codec) ~root:value_root ())
   with Storage.Binio.Short -> fail "truncated store metadata"
 
 let epoch t = t.epoch

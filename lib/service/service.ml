@@ -31,7 +31,6 @@ type t = {
   mutable slow_threshold : float;  (* seconds; [infinity] disables *)
   slow_profile : bool;
   slow_log : (float * Engine.record) Queue.t;  (* bounded ring, oldest dropped *)
-  slow_log_capacity : int;
   flight : Storage.Flight.t option;
   health : Health.t;
 }
@@ -52,9 +51,12 @@ let counter_names =
 
 let default_slow_threshold = 0.1
 
+(* slow-query log entries kept; older ones are dropped *)
+let slow_log_capacity = 128
+
 let create ?(plan_cache_capacity = 128) ?(result_cache_capacity = 512) ?(optimize = true)
     ?(invalidation = `Footprint) ?(slow_threshold = default_slow_threshold)
-    ?(slow_profile = true) ?(slow_log_capacity = 128) ?flight
+    ?(slow_profile = true) ?flight
     ?(sample_every = Health.default_sample_every)
     ?(drift_threshold = Health.default_drift_threshold) store =
   let metrics = Metrics.create () in
@@ -71,7 +73,6 @@ let create ?(plan_cache_capacity = 128) ?(result_cache_capacity = 512) ?(optimiz
     slow_threshold;
     slow_profile;
     slow_log = Queue.create ();
-    slow_log_capacity = max 1 slow_log_capacity;
     flight;
     health = Health.create ~sample_every ~drift_threshold ();
   }
@@ -354,7 +355,7 @@ let note_slow t ~context (r : Engine.record) =
       | None -> 0.0
     in
     let entry = { r with Engine.profile; drift } in
-    if Queue.length t.slow_log >= t.slow_log_capacity then ignore (Queue.pop t.slow_log);
+    if Queue.length t.slow_log >= slow_log_capacity then ignore (Queue.pop t.slow_log);
     Queue.push (Obs.wall_clock (), entry) t.slow_log;
     if Obs.active () then
       Obs.emit ~severity:Obs.Warn ~category:"service" "slow_query"

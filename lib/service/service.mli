@@ -60,7 +60,6 @@ val create :
   ?invalidation:invalidation ->
   ?slow_threshold:float ->
   ?slow_profile:bool ->
-  ?slow_log_capacity:int ->
   ?flight:Storage.Flight.t ->
   ?sample_every:int ->
   ?drift_threshold:float ->
@@ -71,10 +70,10 @@ val create :
     [optimize] (default [true]) selects VQP-OPT vs VQP plans for every
     query the service prepares.  [slow_threshold] (seconds, default
     0.1; [infinity] disables) feeds the always-on slow-query log, a
-    bounded ring of the last [slow_log_capacity] (default 128) slow
-    queries; with [slow_profile] (default [true]) a slow query whose run
-    carried no instrumentation is re-executed once with profiling so its
-    log entry has an operator tree attached.  [invalidation] (default
+    bounded ring of the last 128 slow queries; with [slow_profile]
+    (default [true]) a slow query whose run carried no instrumentation
+    is re-executed once with profiling so its log entry has an operator
+    tree attached.  [invalidation] (default
     [`Footprint]) selects the result-cache invalidation protocol; the
     [cache_invalidations_footprint]/[epoch]/[top] counters attribute
     every eviction to its reason and [result_cache_spared] counts the
@@ -147,7 +146,7 @@ val slow_threshold : t -> float
 val set_slow_threshold : t -> float -> unit
 
 val slow_queries : t -> (float * Vamana.Engine.record) list
-(** Contents of the ring, oldest first (at most [slow_log_capacity]):
+(** Contents of the ring, oldest first (at most 128):
     the Unix time of detection ({!Obs.wall_clock}) and the offending
     run's record, except that its [profile] is the operator tree — the
     run's own when it was profiled, otherwise a one-shot instrumented

@@ -376,42 +376,52 @@ let eval store ~context src =
 
 let materialize store keys = List.filter_map (Store.get store) keys
 
+(* EXPLAIN renders what [prepare] built — the plans that execute — costed
+   with the synopsis statistics the optimizer saw, one block per union
+   branch *)
 let explain ?(optimize = true) store doc src =
-  match Compile.compile_query src with
-  | Error msg -> Error msg
-  | Ok default_plan ->
-      let scope = Some doc.Store.doc_key in
+  let scope = Some doc.Store.doc_key in
+  match prepare ~optimize store ~scope src with
+  | Error _ as e -> e
+  | Ok p ->
+      let stats = Cost.synopsis_statistics store in
       let buf = Buffer.create 512 in
       let ppf = Format.formatter_of_buffer buf in
-      let costed = Cost.estimate store ~scope default_plan in
-      let a0 = Analysis.analyze store ~scope default_plan in
-      Format.fprintf ppf "Default plan:@.%a@." (Analysis.pp_annotated ~costed a0) default_plan;
-      let final_analysis, final_plan =
-        if optimize then begin
-          let o = Optimizer.optimize store ~scope default_plan in
-          List.iter
-            (fun (t : Optimizer.trace_entry) ->
-              Format.fprintf ppf "applied %s at %s: cost %d -> %d@." t.Optimizer.rule
-                t.Optimizer.target t.Optimizer.cost_before t.Optimizer.cost_after)
-            o.Optimizer.trace;
-          let a1 = Analysis.analyze store ~scope o.Optimizer.plan in
-          Format.fprintf ppf "Optimized plan (%d iterations):@.%a@." o.Optimizer.iterations
-            (Analysis.pp_annotated ~costed:o.Optimizer.cost a1) o.Optimizer.plan;
-          (a1, o.Optimizer.plan)
-        end
-        else (a0, default_plan)
-      in
-      (if Analysis.statically_empty final_analysis then
-         Format.fprintf ppf "Statically empty: execution will be skipped@.");
-      Format.fprintf ppf "Footprint: %s@."
-        (Footprint.to_string (Footprint.of_plan final_plan));
-      (match final_analysis.Analysis.diagnostics with
-      | [] -> ()
-      | ds ->
-          Format.fprintf ppf "Diagnostics:@.";
-          List.iter
-            (fun d -> Format.fprintf ppf "  %s@." (Analysis.diagnostic_to_string d))
-            ds);
+      let branches = List.length p.default_plans in
+      List.iteri
+        (fun i default_plan ->
+          let executed_plan = List.nth p.executed_plans i and a = List.nth p.analyses i in
+          if branches > 1 then Format.fprintf ppf "-- branch %d of %d --@." (i + 1) branches;
+          let costed = Cost.estimate ~stats store ~scope default_plan in
+          Format.fprintf ppf "Default plan:@.%a@."
+            (Analysis.pp_annotated ~costed (Analysis.analyze store ~scope default_plan))
+            default_plan;
+          (match p.outcomes with
+          | Some os ->
+              let o = List.nth os i in
+              List.iter
+                (fun (t : Optimizer.trace_entry) ->
+                  Format.fprintf ppf "applied %s at %s: cost %d -> %d@." t.Optimizer.rule
+                    t.Optimizer.target t.Optimizer.cost_before t.Optimizer.cost_after)
+                o.Optimizer.trace;
+              Format.fprintf ppf "Optimized plan (%d iterations):@.%a@." o.Optimizer.iterations
+                (Analysis.pp_annotated ~costed:o.Optimizer.cost a) executed_plan
+          | None ->
+              Format.fprintf ppf "Executed plan (%s):@.%a@."
+                (if optimize then "optimizer skipped: the path synopsis proves the query empty"
+                 else "optimizer off")
+                (Analysis.pp_annotated ~costed a) executed_plan);
+          if Analysis.statically_empty a then
+            Format.fprintf ppf "Statically empty: execution will be skipped@.";
+          match a.Analysis.diagnostics with
+          | [] -> ()
+          | ds ->
+              Format.fprintf ppf "Diagnostics:@.";
+              List.iter
+                (fun d -> Format.fprintf ppf "  %s@." (Analysis.diagnostic_to_string d))
+                ds)
+        p.default_plans;
+      Format.fprintf ppf "Footprint: %s@." (Footprint.to_string p.prep_footprint);
       Format.pp_print_flush ppf ();
       Ok (Buffer.contents buf)
 

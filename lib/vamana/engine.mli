@@ -182,9 +182,13 @@ val materialize : Mass.Store.t -> Flex.t list -> Mass.Record.t list
 (** Fetch the records for a result (data access, charged to the pool). *)
 
 val explain : ?optimize:bool -> Mass.Store.t -> Mass.Store.doc -> string -> (string, string) Result.t
-(** Cost-annotated plan rendering (paper Figures 6–9 style), including
-    the optimizer trace, the inferred per-operator stream properties and
-    the analyzer's diagnostics. *)
+(** Render what {!prepare} builds for [doc] (paper Figures 6–9 style),
+    one block per union branch: the default plan, the optimizer trace and
+    the plan that executes, each operator annotated with its inferred
+    stream properties and the COUNT/IN/OUT estimates from the synopsis
+    statistics the optimizer used; then the analyzer's diagnostics and
+    the query's read footprint.  A schema-empty query shows that the
+    optimizer was skipped. *)
 
 val explain_analyze :
   ?optimize:bool ->

@@ -1,7 +1,7 @@
 (* Golden tests: the exact bytes of every exported surface — the metrics
    snapshots (text, JSON, OpenMetrics), bus events as JSON and as a
-   Chrome trace, flight-recorder frames, EXPLAIN ANALYZE (text and JSON)
-   and the slow-query table.  Durations and wall-clock timestamps are
+   Chrome trace, flight-recorder frames, EXPLAIN, EXPLAIN ANALYZE (text
+   and JSON) and the slow-query table.  Durations and wall-clock timestamps are
    replaced by a placeholder before the comparison; everything else
    (counter names and values, page counts, attribute order, float
    formats) must match byte for byte.  Stores are created on the [Mem]
@@ -649,6 +649,89 @@ let test_explain_analyze () =
     (scrub_ids
        (scrub_json_ms (get (Vamana.Engine.explain_analyze ~json:true store doc "//person[watch]/name"))))
 
+(* ---- EXPLAIN ---- *)
+
+let golden_explain_plain =
+  {|Query: //name/parent::person
+Default plan:
+R#  {unordered, dups?, nesting?, card≤2}  {COUNT=2 IN=2 OUT=2}
+  Φ# parent::person  {unordered, dups?, nesting?, card≤2}  {COUNT=2 IN=3 OUT=2}
+    Φ# child::name  {unordered, distinct, nesting?, card≤3}  {COUNT=3 IN=14 OUT=3}
+      Φ# descendant-or-self::node()  {doc-order, distinct, nesting?, card≤16}  {COUNT=16 IN=16 OUT=14}
+
+applied parent-elim at Φ# parent::person: cost 7 -> 6
+Optimized plan (1 iterations):
+R#  {doc-order, distinct, nesting?, card≤2}  {COUNT=2 IN=2 OUT=2}
+  Φ# descendant-or-self::person  {doc-order, distinct, nesting?, card≤2}  {COUNT=2 IN=2 OUT=2}
+    ξ
+      Φ# child::name  {doc-order, distinct, disjoint, card≤3}  {COUNT=3 IN=2 OUT=2}
+
+Footprint: tag:name tag:person
+Query: //person/mailbox
+Default plan:
+R#  {doc-order, distinct, disjoint, card≤0}  {COUNT=0 IN=0 OUT=0}
+  Φ# child::mailbox  {doc-order, distinct, disjoint, card≤0}  {COUNT=0 IN=2 OUT=0}
+    Φ# child::person  {unordered, distinct, nesting?, card≤2}  {COUNT=2 IN=14 OUT=2}
+      Φ# descendant-or-self::node()  {doc-order, distinct, nesting?, card≤16}  {COUNT=16 IN=16 OUT=14}
+
+Executed plan (optimizer skipped: the path synopsis proves the query empty):
+R#  {doc-order, distinct, disjoint, card≤0}  {COUNT=0 IN=0 OUT=0}
+  Φ# child::mailbox  {doc-order, distinct, disjoint, card≤0}  {COUNT=0 IN=2 OUT=0}
+    Φ# child::person  {unordered, distinct, nesting?, card≤2}  {COUNT=2 IN=14 OUT=2}
+      Φ# descendant-or-self::node()  {doc-order, distinct, nesting?, card≤16}  {COUNT=16 IN=16 OUT=14}
+
+Statically empty: execution will be skipped
+Diagnostics:
+  warning [empty-step] Φ# child::mailbox: no child::mailbox nodes in scope (COUNT = 0): step is provably empty
+Footprint: kind:comment kind:document kind:element kind:pi kind:text tag:mailbox tag:person
+Query: //person[watch]/name | //item/name
+-- branch 1 of 2 --
+Default plan:
+R#  {unordered, distinct, nesting?, card≤3}  {COUNT=2 IN=2 OUT=2}
+  Φ# child::name  {unordered, distinct, nesting?, card≤3}  {COUNT=3 IN=2 OUT=2}
+    Φ# child::person  {unordered, distinct, nesting?, card≤2}  {COUNT=2 IN=14 OUT=2}
+      ξ
+        Φ# child::watch  {doc-order, distinct, disjoint, card≤1}  {COUNT=1 IN=2 OUT=1}
+      Φ# descendant-or-self::node()  {doc-order, distinct, nesting?, card≤16}  {COUNT=16 IN=16 OUT=14}
+
+Optimized plan (0 iterations):
+R#  {unordered, distinct, nesting?, card≤3}  {COUNT=2 IN=2 OUT=2}
+  Φ# child::name  {unordered, distinct, nesting?, card≤3}  {COUNT=3 IN=2 OUT=2}
+    Φ# descendant::person  {doc-order, distinct, nesting?, card≤2}  {COUNT=2 IN=2 OUT=2}
+      ξ
+        Φ# child::watch  {doc-order, distinct, disjoint, card≤1}  {COUNT=1 IN=2 OUT=1}
+
+-- branch 2 of 2 --
+Default plan:
+R#  {doc-order, distinct, disjoint, card≤3}  {COUNT=1 IN=1 OUT=1}
+  Φ# child::name  {doc-order, distinct, disjoint, card≤3}  {COUNT=3 IN=1 OUT=1}
+    Φ# child::item  {doc-order, distinct, disjoint, card≤1}  {COUNT=1 IN=14 OUT=1}
+      Φ# descendant-or-self::node()  {doc-order, distinct, nesting?, card≤16}  {COUNT=16 IN=16 OUT=14}
+
+Optimized plan (0 iterations):
+R#  {doc-order, distinct, disjoint, card≤3}  {COUNT=1 IN=1 OUT=1}
+  Φ# child::name  {doc-order, distinct, disjoint, card≤3}  {COUNT=3 IN=1 OUT=1}
+    Φ# descendant::item  {doc-order, distinct, disjoint, card≤1}  {COUNT=1 IN=1 OUT=1}
+
+Footprint: tag:item tag:name tag:person tag:watch
+|}
+
+(* a rewrite trace, a schema-empty query and a union's branches *)
+let test_explain () =
+  let store = Store.create ~backend:Store.Mem ~pool_pages:64 () in
+  let doc = Store.load store ~name:"g.xml" (Xml.Parser.parse doc_xml) in
+  let explain q =
+    match Vamana.Engine.explain store doc q with
+    | Ok text -> "Query: " ^ q ^ "\n" ^ text
+    | Error e -> Alcotest.fail e
+  in
+  check_golden "explain" golden_explain_plain
+    (scrub_ids
+       (scrub_ms
+          (String.concat ""
+             (List.map explain
+                [ "//name/parent::person"; "//person/mailbox"; "//person[watch]/name | //item/name" ]))))
+
 (* ---- slow-query table ---- *)
 
 let golden_slow_log =
@@ -680,4 +763,5 @@ let suite =
       Alcotest.test_case "bus events" `Quick test_events;
       Alcotest.test_case "flight frames" `Quick test_flight_frames;
       Alcotest.test_case "explain analyze" `Quick test_explain_analyze;
+      Alcotest.test_case "explain" `Quick test_explain;
       Alcotest.test_case "slow-query table" `Quick test_slow_log ] )

@@ -298,6 +298,59 @@ let test_engine_explain () =
       Alcotest.(check bool) "shows counts" true (contains "COUNT=" s)
   | Error e -> Alcotest.fail e
 
+(* EXPLAIN renders what [prepare] builds: the plan it prints as optimized
+   (or executed) is the plan that runs, operator for operator — also where
+   the synopsis statistics steer the optimizer away from the Table I
+   model, for a schema-empty query and for every branch of a union *)
+let test_explain_renders_prepared () =
+  let store = Store.create () in
+  let doc = Xmark.load store 2.0 in
+  (* an operator line without its annotations; operator ids come from a
+     process-wide counter, so they are masked *)
+  let operator line =
+    let line = Str.global_replace (Str.regexp "\\(R\\|Φ\\|β\\|L\\)[0-9]+") "\\1#" line in
+    match Str.search_forward (Str.regexp_string "  {") line 0 with
+    | i -> String.sub line 0 i
+    | exception Not_found -> line
+  in
+  let rec executed_blocks = function
+    | [] -> []
+    | header :: rest
+      when String.starts_with ~prefix:"Optimized plan" header
+           || String.starts_with ~prefix:"Executed plan" header ->
+        let rec block acc = function
+          | "" :: rest | ([] as rest) -> (List.rev acc, rest)
+          | l :: rest -> block (operator l :: acc) rest
+        in
+        let b, rest = block [] rest in
+        b :: executed_blocks rest
+    | _ :: rest -> executed_blocks rest
+  in
+  List.iter
+    (fun q ->
+      let shown =
+        match Engine.explain store doc q with
+        | Ok text -> executed_blocks (String.split_on_char '\n' text)
+        | Error e -> Alcotest.failf "%s: %s" q e
+      in
+      let expected =
+        match Engine.prepare store ~scope:(Some doc.Store.doc_key) q with
+        | Ok p ->
+            List.map2
+              (fun plan a ->
+                Format.asprintf "%a" (Analysis.pp_annotated a) plan
+                |> String.split_on_char '\n'
+                |> List.filter (fun l -> l <> "")
+                |> List.map operator)
+              p.Engine.executed_plans p.Engine.analyses
+        | Error e -> Alcotest.failf "%s: %s" q e
+      in
+      Alcotest.(check (list (list string))) q expected shown)
+    [ "//person/profile/interest/ancestor::person/name";
+      "//item[location='United States']/name";
+      "//item/mailbox/mail/from";
+      "//person/name | //item/name" ]
+
 let test_engine_eval () =
   let store, doc = setup () in
   (match Engine.eval store ~context:doc.Store.doc_key "count(//person)" with
@@ -412,6 +465,7 @@ let suite =
       Alcotest.test_case "estimates are upper bounds" `Quick test_cost_is_upper_bound;
       Alcotest.test_case "optimizer cost is monotone" `Quick test_optimizer_monotone_trace;
       Alcotest.test_case "explain output" `Quick test_engine_explain;
+      Alcotest.test_case "explain renders the prepared plans" `Quick test_explain_renders_prepared;
       Alcotest.test_case "generic eval facade" `Quick test_engine_eval;
       Alcotest.test_case "timings and io" `Quick test_engine_timings_and_io;
       Alcotest.test_case "query_store over multiple documents" `Quick test_query_store_multidoc;
